@@ -15,12 +15,17 @@ import (
 //
 // Positions move continuously under mobility, so bins are allowed to go
 // stale: a radio's binned position may drift up to slack metres from its
-// true position before the grid re-bins. Queries compensate by scanning all
-// cells intersecting a disk of radius R+slack and exact-checking every
-// candidate, which keeps grid answers identical to the exhaustive scan.
-// With a declared motion bound v (m/s) the drift after t simulated seconds
-// is at most v*t, so one O(N) re-bin buys slack/v seconds of O(area)
-// queries.
+// true position before the grid re-bins. With a declared motion bound v
+// (m/s) the drift t simulated seconds after a rebin is at most v*t, so one
+// O(N) re-bin buys slack/v seconds of O(area) queries.
+//
+// Each rebin keeps every radio's binned position, and queries classify a
+// candidate by its binned distance bd from the query point against the
+// drift bound δ = v*|now-binTime| + driftEps: bd > reach+δ is certainly out
+// of reach and bd+δ <= reach certainly in, both without evaluating the
+// radio's mobility model; only the band between needs the exact distance.
+// Answers stay identical to the exhaustive scan exactly as long as the
+// bound declared through Channel.SetMotionBound holds, to within driftEps.
 //
 // Cells are stored in CSR form over the bounding box of occupied cells:
 // cellStart[lin] .. cellStart[lin+1] delimits cell lin's radio indices in
@@ -28,22 +33,26 @@ import (
 // makes the cy-range of one cx column a single contiguous run, so a query
 // touches at most three contiguous slices and performs no map lookups.
 // gridScanThreshold is the population below which queries skip the CSR
-// index and linearly scan the per-radio cell keys instead: four int32
-// compares per radio beat the scatter/gather constant factor until the
-// candidate set is a small fraction of the population.
+// index and test every binned position instead: one squared distance per
+// radio beats the scatter/gather constant factor until the candidate set is
+// a small fraction of the population.
 const gridScanThreshold = 512
+
+// driftEps pads the drift bound for floating-point rounding in mobility
+// models and distances, which stays below a micrometre at field scale.
+const driftEps = 1e-3
 
 type grid struct {
 	cell  float64 // cell edge length (= decode range), metres
 	slack float64 // tolerated bin drift before re-binning, metres
 
-	n          int     // registered radios at last rebin
-	minX, minY int32   // cell coords of the bounding box origin
-	w, h       int32   // bounding box extent, in cells
-	cellStart  []int32 // CSR cell offsets into cellIdx, len w*h+1
-	cellIdx    []int32 // radio indices, ascending within each cell
-	keys       []gridKey
-	bits       []uint64 // scratch: candidate bitmap, one bit per radio
+	n          int          // registered radios at last rebin
+	pos        []geom.Point // binned positions, registration order
+	minX, minY int32        // cell coords of the bounding box origin
+	w, h       int32        // bounding box extent, in cells
+	cellStart  []int32      // CSR cell offsets into cellIdx, len w*h+1
+	cellIdx    []int32      // radio indices, ascending within each cell
+	bits       []uint64     // scratch: candidate bitmap, one bit per radio
 	binTime    sim.Time
 	valid      bool
 }
@@ -57,6 +66,16 @@ func (g *grid) keyFor(p geom.Point) gridKey {
 	}
 }
 
+// moved bounds how far any radio can have moved between binTime and now,
+// given the channel's motion bound.
+func (g *grid) moved(now sim.Time, motionBound float64) float64 {
+	dt := now - g.binTime
+	if dt < 0 {
+		dt = -dt
+	}
+	return dt.Seconds() * motionBound
+}
+
 // stale reports whether bins built at binTime may have drifted more than
 // slack by instant now, given the channel's motion bound.
 func (g *grid) stale(now sim.Time, motionBound float64) bool {
@@ -66,11 +85,7 @@ func (g *grid) stale(now sim.Time, motionBound float64) bool {
 	if motionBound <= 0 || now == g.binTime {
 		return false
 	}
-	dt := now - g.binTime
-	if dt < 0 {
-		dt = -dt
-	}
-	return dt.Seconds()*motionBound > g.slack
+	return g.moved(now, motionBound) > g.slack
 }
 
 // rebin rebuilds every bin from radio positions at instant now. Radios are
@@ -80,26 +95,21 @@ func (g *grid) rebin(radios []*Radio, now sim.Time) {
 	g.n = n
 	g.binTime = now
 	g.valid = true
-	if n == 0 {
-		g.w, g.h = 0, 0
-		return
+	if cap(g.pos) < n {
+		g.pos = make([]geom.Point, n)
 	}
-	if cap(g.keys) < n {
-		g.keys = make([]gridKey, n)
+	g.pos = g.pos[:n]
+	for i, r := range radios {
+		g.pos[i] = r.Position(now)
 	}
-	ks := g.keys[:n]
 	if n <= gridScanThreshold {
-		// Small population: queries scan the keys directly, no CSR needed.
-		for i, r := range radios {
-			ks[i] = g.keyFor(r.Position(now))
-		}
+		// Small population: queries scan the binned positions, no CSR needed.
 		return
 	}
 	minX, minY := int32(math.MaxInt32), int32(math.MaxInt32)
 	maxX, maxY := int32(math.MinInt32), int32(math.MinInt32)
-	for i, r := range radios {
-		k := g.keyFor(r.Position(now))
-		ks[i] = k
+	for _, p := range g.pos {
+		k := g.keyFor(p)
 		minX, maxX = min(minX, k.cx), max(maxX, k.cx)
 		minY, maxY = min(minY, k.cy), max(maxY, k.cy)
 	}
@@ -114,7 +124,8 @@ func (g *grid) rebin(radios []*Radio, now sim.Time) {
 		clear(g.cellStart)
 	}
 	start := g.cellStart
-	for _, k := range ks {
+	for _, p := range g.pos {
+		k := g.keyFor(p)
 		start[(k.cx-minX)*h+(k.cy-minY)+1]++
 	}
 	for c := 1; c <= cells; c++ {
@@ -127,7 +138,8 @@ func (g *grid) rebin(radios []*Radio, now sim.Time) {
 	// Counting-sort fill: place each radio at its cell's cursor. This walks
 	// the cursors forward, so afterwards start[c] holds cell c's end offset;
 	// the backward pass shifts the array so start[c] is cell c's begin again.
-	for i, k := range ks {
+	for i, p := range g.pos {
+		k := g.keyFor(p)
 		lin := (k.cx-minX)*h + (k.cy - minY)
 		g.cellIdx[start[lin]] = int32(i)
 		start[lin]++
@@ -141,33 +153,38 @@ func (g *grid) rebin(radios []*Radio, now sim.Time) {
 	}
 }
 
-// candidates appends to buf the indices of every radio whose bin intersects
-// the disk of the given radius (plus the drift slack) around p, and returns
-// buf sorted ascending. The result is a superset of the radios truly within
-// radius of p; callers exact-check distances, in registration order.
+// candidates appends to buf, in ascending radio order, every radio that may
+// lie within reach of p at instant now, and returns buf. Radios whose binned
+// distance puts them beyond reach+drift are left out. With sure set, a radio
+// whose binned distance puts it within reach-drift is appended as ^i
+// (negative), telling the caller it is within reach without an exact check;
+// every other candidate is appended as i and needs one.
 //
-// The union of the touched cells is produced through a bitmap with one bit
-// per registered radio: scatter every cell run's indices into the bitmap,
-// then read the set bits back in index order. That yields the ascending
-// order a sort would (indices are unique across cells) at the cost of one
-// pass over candidates plus one pass over the — at realistic scales, one or
-// two — bitmap words, with no allocation and no comparison sort.
-func (g *grid) candidates(p geom.Point, radius float64, buf []int32) []int32 {
+// On the CSR path the touched cells are unioned through a bitmap with one
+// bit per registered radio: scatter every cell run's indices into the
+// bitmap, then read the set bits back in index order. That yields the
+// ascending order a sort would (indices are unique across cells) at the
+// cost of one pass over candidates plus one pass over the — at realistic
+// scales, one or two — bitmap words, with no allocation and no comparison
+// sort.
+func (g *grid) candidates(p geom.Point, reach, drift float64, sure bool, buf []int32) []int32 {
 	buf = buf[:0]
 	if g.n == 0 {
 		return buf
 	}
-	reach := radius + g.slack
-	lo := g.keyFor(geom.Point{X: p.X - reach, Y: p.Y - reach})
-	hi := g.keyFor(geom.Point{X: p.X + reach, Y: p.Y + reach})
+	outer := reach + drift
+	outer2, inner2 := outer*outer, -1.0
+	if sure && reach > drift {
+		inner2 = (reach - drift) * (reach - drift)
+	}
 	if g.n <= gridScanThreshold {
-		for i, k := range g.keys[:g.n] {
-			if k.cx >= lo.cx && k.cx <= hi.cx && k.cy >= lo.cy && k.cy <= hi.cy {
-				buf = append(buf, int32(i))
-			}
+		for i, q := range g.pos[:g.n] {
+			buf = classify(buf, int32(i), p, q, outer2, inner2)
 		}
 		return buf
 	}
+	lo := g.keyFor(geom.Point{X: p.X - outer, Y: p.Y - outer})
+	hi := g.keyFor(geom.Point{X: p.X + outer, Y: p.Y + outer})
 	cxLo, cxHi := max(lo.cx, g.minX), min(hi.cx, g.minX+g.w-1)
 	cyLo, cyHi := max(lo.cy, g.minY), min(hi.cy, g.minY+g.h-1)
 	if cxLo > cxHi || cyLo > cyHi {
@@ -186,10 +203,24 @@ func (g *grid) candidates(p geom.Point, radius float64, buf []int32) []int32 {
 	for w, word := range bits {
 		base := int32(w << 6)
 		for word != 0 {
-			buf = append(buf, base+int32(bits64.TrailingZeros64(word)))
+			i := base + int32(bits64.TrailingZeros64(word))
+			buf = classify(buf, i, p, g.pos[i], outer2, inner2)
 			word &= word - 1
 		}
 		bits[w] = 0
 	}
 	return buf
+}
+
+// classify appends radio i, binned at q, to buf as candidates describes,
+// comparing squared distances against the squared outer and inner radii.
+func classify(buf []int32, i int32, p, q geom.Point, outer2, inner2 float64) []int32 {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	switch d2 := dx*dx + dy*dy; {
+	case d2 > outer2:
+		return buf
+	case d2 <= inner2:
+		return append(buf, ^i)
+	}
+	return append(buf, i)
 }

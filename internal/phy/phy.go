@@ -178,7 +178,8 @@ type Channel struct {
 	motionBound    float64
 	motionBoundSet bool
 	grid           grid
-	scratch        []int32
+	scratch        []int32   // inReach result buffer
+	dist           []float64 // inReach exact distances (propagation models only)
 
 	// Freelists for the per-transmission batch machinery (see Transmit):
 	// recycling batches and deliveries keeps the reception hot path
@@ -262,8 +263,10 @@ func NewChannel(sched *sim.Scheduler, rangeM float64) *Channel {
 // channel moves (metres per simulated second; 0 means every radio is
 // stationary) and enables the spatial grid index: Transmit, Neighbors and
 // CountNeighbors then query a uniform grid instead of scanning all radios.
-// The bound must hold for the whole run; grid answers are exact (identical
-// to the exhaustive scan) as long as it does.
+// The bound must hold for the whole run, to within a millimetre of drift:
+// the grid settles many candidates from their binned positions and this
+// bound alone (see grid), so its answers are exact (identical to the
+// exhaustive scan) only as long as no radio outruns it.
 func (c *Channel) SetMotionBound(maxSpeedMps float64) {
 	if maxSpeedMps < 0 {
 		maxSpeedMps = 0
@@ -311,6 +314,55 @@ func (c *Channel) InRange(a, b *Radio, now sim.Time) bool {
 	return d <= c.rangeM*s
 }
 
+// inReach returns the registration indices, ascending, of every radio
+// other than center whose position at now lies within reach metres of
+// center's. It is the one candidate loop behind Transmit and every
+// neighbour query: the spatial grid (or, without a motion bound, every
+// radio) supplies candidates, and each is exact-checked unless the grid's
+// drift bound already settles it. With a propagation model installed,
+// c.dist[k] receives the k-th radio's exact distance, which the model's
+// verdict needs, so no candidate is counted in on the grid's word alone.
+//
+// The result aliases c.scratch: it is valid until the next query.
+func (c *Channel) inReach(center *Radio, now sim.Time, reach float64) []int32 {
+	p := center.Position(now)
+	withDist := c.prop != nil
+	cand := c.scratch[:0]
+	if c.motionBoundSet && reach > 0 {
+		if c.grid.stale(now, c.motionBound) {
+			c.grid.rebin(c.radios, now)
+		}
+		drift := c.grid.moved(now, c.motionBound) + driftEps
+		cand = c.grid.candidates(p, reach, drift, !withDist, cand)
+	} else {
+		for i := range c.radios {
+			cand = append(cand, int32(i))
+		}
+	}
+	// Filter in place: the write index never passes the read index.
+	out, dist := cand[:0], c.dist[:0]
+	for _, i := range cand {
+		if i < 0 {
+			if i = ^i; c.radios[i] != center {
+				out = append(out, i)
+			}
+			continue
+		}
+		o := c.radios[i]
+		if o == center {
+			continue
+		}
+		if d := p.DistanceTo(o.Position(now)); d <= reach {
+			out = append(out, i)
+			if withDist {
+				dist = append(dist, d)
+			}
+		}
+	}
+	c.scratch, c.dist = out, dist
+	return out
+}
+
 // visitInRange calls visit for every radio other than center that a
 // transmission from center reaches at instant now, in registration order
 // (deterministic regardless of whether the grid index or the exhaustive
@@ -321,58 +373,15 @@ func (c *Channel) InRange(a, b *Radio, now sim.Time) bool {
 // is queried at the scaled reach so no candidate with a possibly-true
 // verdict is pruned (grid queries accept radii larger than the cell edge).
 func (c *Channel) visitInRange(center *Radio, now sim.Time, visit func(*Radio)) {
-	p := center.Position(now)
 	s := center.txScale
-	if c.prop != nil {
-		reach := c.maxRange * s
-		if c.motionBoundSet && reach > 0 {
-			if c.grid.stale(now, c.motionBound) {
-				c.grid.rebin(c.radios, now)
-			}
-			c.scratch = c.grid.candidates(p, reach, c.scratch)
-			for _, i := range c.scratch {
-				o := c.radios[i]
-				if o == center {
-					continue
-				}
-				if d := p.DistanceTo(o.Position(now)); d <= reach && c.prop.Decodable(now, center.id, o.id, d/s) {
-					visit(o)
-				}
-			}
-			return
-		}
-		for _, o := range c.radios {
-			if o == center {
-				continue
-			}
-			if d := p.DistanceTo(o.Position(now)); d <= reach && c.prop.Decodable(now, center.id, o.id, d/s) {
-				visit(o)
-			}
+	if c.prop == nil {
+		for _, i := range c.inReach(center, now, c.rangeM*s) {
+			visit(c.radios[i])
 		}
 		return
 	}
-	reach := c.rangeM * s
-	if c.motionBoundSet && reach > 0 {
-		if c.grid.stale(now, c.motionBound) {
-			c.grid.rebin(c.radios, now)
-		}
-		c.scratch = c.grid.candidates(p, reach, c.scratch)
-		for _, i := range c.scratch {
-			o := c.radios[i]
-			if o == center {
-				continue
-			}
-			if p.DistanceTo(o.Position(now)) <= reach {
-				visit(o)
-			}
-		}
-		return
-	}
-	for _, o := range c.radios {
-		if o == center {
-			continue
-		}
-		if p.DistanceTo(o.Position(now)) <= reach {
+	for k, i := range c.inReach(center, now, c.maxRange*s) {
+		if o := c.radios[i]; c.prop.Decodable(now, center.id, o.id, c.dist[k]/s) {
 			visit(o)
 		}
 	}
@@ -392,36 +401,7 @@ func (c *Channel) Neighbors(r *Radio, now sim.Time) []NodeID {
 // now, excluding r itself, in registration order. It is the allocation-free
 // form of Neighbors for per-event hot paths (PSM churn tracking).
 func (c *Channel) VisitNeighbors(r *Radio, now sim.Time, visit func(NodeID)) {
-	if c.prop != nil {
-		c.visitInRange(r, now, func(o *Radio) { visit(o.id) })
-		return
-	}
-	p := r.Position(now)
-	reach := c.rangeM * r.txScale
-	if c.motionBoundSet && reach > 0 {
-		if c.grid.stale(now, c.motionBound) {
-			c.grid.rebin(c.radios, now)
-		}
-		c.scratch = c.grid.candidates(p, reach, c.scratch)
-		for _, i := range c.scratch {
-			o := c.radios[i]
-			if o == r {
-				continue
-			}
-			if p.DistanceTo(o.Position(now)) <= reach {
-				visit(o.id)
-			}
-		}
-		return
-	}
-	for _, o := range c.radios {
-		if o == r {
-			continue
-		}
-		if p.DistanceTo(o.Position(now)) <= reach {
-			visit(o.id)
-		}
-	}
+	c.visitInRange(r, now, func(o *Radio) { visit(o.id) })
 }
 
 // CountNeighbors returns the number of radios within range of r at now.
@@ -457,58 +437,16 @@ func (c *Channel) Transmit(tx *Radio, f Frame, rateMbps float64) {
 	b := c.allocBatch()
 	b.frame = f
 	b.end = end
-	p := tx.Position(now)
 	s := tx.txScale
-	if c.prop != nil {
-		reach := c.maxRange * s
-		if c.motionBoundSet && reach > 0 {
-			if c.grid.stale(now, c.motionBound) {
-				c.grid.rebin(c.radios, now)
-			}
-			c.scratch = c.grid.candidates(p, reach, c.scratch)
-			for _, i := range c.scratch {
-				rx := c.radios[i]
-				if rx == tx {
-					continue
-				}
-				if d := p.DistanceTo(rx.Position(now)); d <= reach {
-					c.admitReception(b, tx, rx, now, end, d/s)
-				}
-			}
-		} else {
-			for _, rx := range c.radios {
-				if rx == tx {
-					continue
-				}
-				if d := p.DistanceTo(rx.Position(now)); d <= reach {
-					c.admitReception(b, tx, rx, now, end, d/s)
-				}
-			}
-		}
-	} else if reach := c.rangeM * s; c.motionBoundSet && reach > 0 {
-		if c.grid.stale(now, c.motionBound) {
-			c.grid.rebin(c.radios, now)
-		}
-		c.scratch = c.grid.candidates(p, reach, c.scratch)
-		for _, i := range c.scratch {
+	if c.prop == nil {
+		for _, i := range c.inReach(tx, now, c.rangeM*s) {
 			rx := c.radios[i]
-			if rx == tx {
-				continue
-			}
-			if p.DistanceTo(rx.Position(now)) <= reach {
-				rx.extendCarrier(end)
-				c.beginReception(b, rx, now, end)
-			}
+			rx.extendCarrier(end)
+			c.beginReception(b, rx, now, end)
 		}
 	} else {
-		for _, rx := range c.radios {
-			if rx == tx {
-				continue
-			}
-			if p.DistanceTo(rx.Position(now)) <= reach {
-				rx.extendCarrier(end)
-				c.beginReception(b, rx, now, end)
-			}
+		for k, i := range c.inReach(tx, now, c.maxRange*s) {
+			c.admitReception(b, tx, c.radios[i], now, end, c.dist[k]/s)
 		}
 	}
 	if b.head == nil {

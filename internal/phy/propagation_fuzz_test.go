@@ -31,9 +31,11 @@ func buildChannel(seed int64, model string, sigma float64, n int, maxSpeed float
 			Y: -100 + (field.H+200)*rng.Float64(),
 		}
 		if maxSpeed > 0 {
+			// MinSpeed never exceeds maxSpeed, so the waypoint honours the
+			// declared motion bound the grid trusts.
 			ch.AddRadio(phy.NodeID(i), mobility.NewWaypoint(mobility.WaypointConfig{
 				Field:    field,
-				MinSpeed: 1,
+				MinSpeed: min(1, maxSpeed),
 				MaxSpeed: maxSpeed,
 				Start:    field.Clamp(start),
 			}, sim.Stream(seed+int64(i), "fuzz-prop")))

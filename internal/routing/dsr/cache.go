@@ -15,7 +15,6 @@ type Cache struct {
 	capacity int
 	lifetime sim.Time // 0 disables timeouts
 	entries  []cacheEntry
-	free     [][]phy.NodeID // recycled path buffers (only while no callbacks are installed)
 	insertCB func(path []phy.NodeID)
 	evictCB  func(path []phy.NodeID)
 
@@ -57,10 +56,7 @@ func (c *Cache) Len() int { return len(c.entries) }
 // with amnesia). Lifetime statistics survive; the insert callback stays
 // installed.
 func (c *Cache) Clear() {
-	for i := range c.entries {
-		c.recycle(c.entries[i].path)
-		c.entries[i] = cacheEntry{}
-	}
+	clear(c.entries)
 	c.entries = c.entries[:0]
 }
 
@@ -84,13 +80,7 @@ func (c *Cache) Add(now sim.Time, path []phy.NodeID) bool {
 			return false
 		}
 	}
-	var cp []phy.NodeID
-	if n := len(c.free); n > 0 && cap(c.free[n-1]) >= len(path) {
-		cp = c.free[n-1][:len(path)]
-		c.free = c.free[:n-1]
-	} else {
-		cp = make([]phy.NodeID, len(path))
-	}
+	cp := make([]phy.NodeID, len(path))
 	copy(cp, path)
 	c.entries = append(c.entries, cacheEntry{path: cp, nbr: nbr, addedAt: now})
 	c.inserts++
@@ -104,19 +94,8 @@ func (c *Cache) Add(now sim.Time, path []phy.NodeID) bool {
 		if c.evictCB != nil {
 			c.evictCB(evicted)
 		}
-		c.recycle(evicted)
 	}
 	return true
-}
-
-// recycle returns a dropped path buffer to the freelist for reuse by a
-// future insertion. Recycling is disabled while any callback is installed:
-// callbacks receive the live path slice and may retain it (lifecycle
-// tracing does), so reusing its backing array would corrupt their view.
-func (c *Cache) recycle(path []phy.NodeID) {
-	if c.insertCB == nil && c.evictCB == nil && len(c.free) < 64 {
-		c.free = append(c.free, path[:0])
-	}
 }
 
 // Find returns the shortest cached route from the owner to dst (inclusive
@@ -179,8 +158,6 @@ func (c *Cache) RemoveLink(a, b phy.NodeID) int {
 		if cut >= 2 {
 			e.path = e.path[:cut]
 			kept = append(kept, e)
-		} else {
-			c.recycle(e.path)
 		}
 	}
 	// Zero the tail so dropped entries are collectable.
@@ -218,8 +195,6 @@ func (c *Cache) expire(now sim.Time) {
 	for _, e := range c.entries {
 		if now-e.addedAt <= c.lifetime {
 			kept = append(kept, e)
-		} else {
-			c.recycle(e.path)
 		}
 	}
 	for i := len(kept); i < len(c.entries); i++ {

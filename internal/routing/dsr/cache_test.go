@@ -212,3 +212,29 @@ func TestCacheHitMissStats(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
 }
+
+// TestCacheAddRejectionsDoNotAllocate pins route learning's steady state:
+// most overheard packets teach routes the cache rejects or already holds,
+// and those Adds must not allocate. The routes are 12 hops long, as in the
+// 400-node cell; a short path's loop check could hide a heap allocation.
+func TestCacheAddRejectionsDoNotAllocate(t *testing.T) {
+	c := NewCache(0, 0, 0)
+	held := path(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+	c.Add(0, held)
+	for _, tc := range []struct {
+		name string
+		p    []phy.NodeID
+	}{
+		{"looped", path(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1)},
+		{"duplicate", held},
+		{"prefix", held[:10]},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if c.Add(0, tc.p) {
+				t.Fatalf("%s: Add(%v) accepted", tc.name, tc.p)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Add allocated %v times per call, want 0", tc.name, allocs)
+		}
+	}
+}

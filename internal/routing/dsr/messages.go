@@ -158,14 +158,14 @@ func appendHop(path []phy.NodeID, id phy.NodeID) []phy.NodeID {
 	return out
 }
 
-// hasDuplicates reports whether any node appears twice in path.
+// hasDuplicates reports whether any node appears twice in path. Source
+// routes are a few hops long, so a quadratic scan beats hashing and
+// allocates nothing.
 func hasDuplicates(path []phy.NodeID) bool {
-	seen := make(map[phy.NodeID]struct{}, len(path))
-	for _, n := range path {
-		if _, ok := seen[n]; ok {
+	for i := 1; i < len(path); i++ {
+		if indexOf(path[:i], path[i]) >= 0 {
 			return true
 		}
-		seen[n] = struct{}{}
 	}
 	return false
 }

@@ -125,7 +125,7 @@ type Router struct {
 	nextRREQID uint64
 	nextSeq    uint64
 
-	learnScratch []phy.NodeID // reused candidate-path buffer for learnFromTransmitter
+	learnScratch []phy.NodeID // reused candidate-path buffer for route learning
 
 	down bool // fault-injected crash: reversible via Restart
 
@@ -531,8 +531,7 @@ func (r *Router) onRREQ(from phy.NodeID, req *RouteRequest) {
 	}
 	now := r.sched.Now()
 	// Learn the reverse route back to the origin.
-	back := append([]phy.NodeID{r.id}, reversed(req.Recorded)...)
-	r.cache.Add(now, back)
+	r.learnReverse(now, req.Recorded)
 
 	key := rreqKey{origin: req.Origin, id: req.ID}
 	if r.id == req.Target {
@@ -555,14 +554,17 @@ func (r *Router) onRREQ(from phy.NodeID, req *RouteRequest) {
 	// Cache reply: splice recorded prefix with our cached suffix.
 	if r.cfg.CacheReplies {
 		if tail := r.cache.Find(now, req.Target); tail != nil {
-			full := append(appendHop(req.Recorded, r.id), tail[1:]...)
+			// full = Recorded + self + tail[1:]; its Recorded+self prefix,
+			// reversed, steers the reply back to the origin.
+			hops := len(req.Recorded) + 1
+			full := make([]phy.NodeID, 0, hops+len(tail)-1)
+			full = append(append(append(full, req.Recorded...), r.id), tail[1:]...)
 			if !hasDuplicates(full) {
 				r.stats.CacheReplies++
-				reply := appendHop(req.Recorded, r.id)
 				r.sendRREP(&RouteReply{
 					ID:        req.ID,
 					Route:     full,
-					ReplyPath: reversed(reply),
+					ReplyPath: reversed(full[:hops]),
 					FromCache: true,
 				})
 				return
@@ -650,18 +652,24 @@ func (r *Router) learnFromTransmitter(now sim.Time, from phy.NodeID, route []phy
 	// on accept (and rejects looped paths itself), so they never escape.
 	// Forward: self → from → route[i+1:].
 	if i+1 < len(route) {
-		fwd := append(r.learnScratch[:0], r.id, from)
-		fwd = append(fwd, route[i+1:]...)
+		fwd := append(append(r.learnScratch[:0], r.id), route[i:]...)
 		r.learnScratch = fwd[:0]
 		r.cache.Add(now, fwd)
 	}
 	// Backward: self → from → route[i-1], …, route[0].
 	if i > 0 {
-		back := append(r.learnScratch[:0], r.id, from)
-		for j := i - 1; j >= 0; j-- {
-			back = append(back, route[j])
-		}
-		r.learnScratch = back[:0]
-		r.cache.Add(now, back)
+		r.learnReverse(now, route[:i+1])
 	}
+}
+
+// learnReverse caches self → prefix[len-1], …, prefix[0], the way back
+// along a path whose last node is a direct neighbor, building the candidate
+// in the scratch buffer as learnFromTransmitter does.
+func (r *Router) learnReverse(now sim.Time, prefix []phy.NodeID) {
+	back := append(r.learnScratch[:0], r.id)
+	for j := len(prefix) - 1; j >= 0; j-- {
+		back = append(back, prefix[j])
+	}
+	r.learnScratch = back[:0]
+	r.cache.Add(now, back)
 }

@@ -453,3 +453,20 @@ func TestMessageClasses(t *testing.T) {
 		t.Fatal("message classes wrong")
 	}
 }
+
+// TestOverhearKnownRoutesDoesNotAllocate: overhearing a data packet whose
+// routes the cache already holds builds both candidate paths in the
+// router's scratch buffer, so it allocates nothing.
+func TestOverhearKnownRoutesDoesNotAllocate(t *testing.T) {
+	n := newFakeNet(t)
+	r := n.addRouter(99, DefaultConfig())
+	route := path(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
+	pkt := &DataPacket{Src: 0, Dst: 13, Route: route, PayloadBytes: 512}
+	r.Overhear(2, pkt)
+	if got := r.Cache().Len(); got != 2 {
+		t.Fatalf("learned %d routes, want 2", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Overhear(2, pkt) }); allocs != 0 {
+		t.Fatalf("Overhear allocated %v times per call, want 0", allocs)
+	}
+}

@@ -157,6 +157,28 @@ func (t aodvTransport) Send(nh phy.NodeID, msg aodv.Message, onResult func(bool)
 	})
 }
 
+// motionBound is the speed (m/s) no node of cfg can exceed, which the
+// channel's spatial grid trusts to the millimetre (see phy.Channel.
+// SetMotionBound). Partition shifts move nodes on top of the scenario's own
+// mobility, so the bound grows by their worst case.
+func motionBound(cfg Config, inj *fault.Injector) float64 {
+	extra := inj.ExtraMotionBound()
+	if cfg.Pause >= cfg.Duration {
+		// Static scenario: every node is pinned, bins never go stale.
+		return extra
+	}
+	// Mobility clamps the speed floor to 0.1 m/s (see mobility.NewWaypoint),
+	// so the effective maximum can exceed cfg.MaxSpeed when it is tiny.
+	bound := max(cfg.MaxSpeed, 0.1)
+	if cfg.mobilityName() == "group" {
+		// A group member rides two concurrent trajectories (the shared
+		// reference plus its local wander), so its worst-case speed is
+		// the sum of both bounds.
+		bound *= 2
+	}
+	return bound + extra
+}
+
 // newWorld wires a complete network for cfg.
 func newWorld(cfg Config) (*world, error) {
 	if err := cfg.Validate(); err != nil {
@@ -190,27 +212,7 @@ func newWorld(cfg Config) (*world, error) {
 		FieldH:   cfg.FieldH,
 		RangeM:   cfg.RangeM,
 	})
-	// Partition shifts move nodes on top of the scenario's own mobility, so
-	// the channel's declared motion bound must grow by their worst case.
-	extra := w.inj.ExtraMotionBound()
-	if cfg.Pause >= cfg.Duration {
-		// Static scenario: every node is pinned, bins never go stale.
-		w.ch.SetMotionBound(extra)
-	} else {
-		// Mobility clamps the speed floor to 0.1 m/s (see mobility.NewWaypoint),
-		// so the effective maximum can exceed cfg.MaxSpeed when it is tiny.
-		bound := cfg.MaxSpeed
-		if bound < 0.1 {
-			bound = 0.1
-		}
-		if cfg.mobilityName() == "group" {
-			// A group member rides two concurrent trajectories (the shared
-			// reference plus its local wander), so its worst-case speed is
-			// the sum of both bounds.
-			bound *= 2
-		}
-		w.ch.SetMotionBound(bound + extra)
-	}
+	w.ch.SetMotionBound(motionBound(cfg, w.inj))
 	if cfg.Replay != nil && cfg.Replay.Loss != nil {
 		// Replay: recorded fault losses stand in for the plan's live
 		// Gilbert–Elliott chains (whose state lives in dedicated RNG

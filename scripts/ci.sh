@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: vet, shadow lint, build, race-enabled tests, a short fuzz pass
 # over the MAC, route-cache, scheduler-wheel and trace-reader targets, the
-# coverage gate, the calibrated perf-smoke gate, a benchmark smoke run, a
-# tracediff smoke (audit inert / seeds diverge), the golden-trace corpus
+# coverage gate, the calibrated two-cell perf-smoke gate, a benchmark smoke
+# run, a tracediff smoke (audit inert / seeds diverge), the golden-trace corpus
 # gate (every committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
 # invariant-audited experiment smokes (clean and fault-injected) under the
@@ -36,9 +36,11 @@ echo "== coverage gate =="
 go run ./tools/covergate
 
 echo "== perf smoke =="
-# Calibrated 3-node-cell gate: fails on >30% event-kernel slowdown
-# relative to tools/perfsmoke/baseline.json (see that tool for how the
-# score is normalized across machines).
+# Calibrated gate over two cells, each failing on a >30% slowdown relative
+# to its entry in tools/perfsmoke/baseline.json: the 3-node cell (event
+# kernel) and the 400-node dense cell cut to 10 s (DSR route learning and
+# the PHY grid). See that tool for how scores are normalized across
+# machines.
 go run ./tools/perfsmoke
 
 echo "== bench smoke =="
