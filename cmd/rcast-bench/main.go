@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -27,13 +26,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "rcast-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes the command; the timing footer and profile-write errors go
+// to stderr.
+func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("rcast-bench", flag.ContinueOnError)
 	var (
 		profileName = fs.String("profile", "quick", "experiment profile: quick or paper")
@@ -58,7 +59,7 @@ func run(args []string) error {
 	defer stopCPU()
 	defer func() {
 		if err := profiling.WriteHeap(*memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, "rcast-bench:", err)
+			fmt.Fprintln(stderr, "rcast-bench:", err)
 		}
 	}()
 
@@ -113,15 +114,12 @@ func run(args []string) error {
 		}
 	}
 	elapsed := time.Since(start)
-	effective := *workers
-	if effective <= 0 {
-		effective = runtime.GOMAXPROCS(0)
-	}
 	// The timing line goes to stderr so stdout stays byte-identical for
-	// every worker count.
-	fmt.Fprintf(os.Stderr, "rcast-bench: %d simulation runs in %s (%.2f runs/s, workers=%d)\n",
+	// every worker count. workers= is the count the pool used, so a
+	// -trace run reports 1.
+	fmt.Fprintf(stderr, "rcast-bench: %d simulation runs in %s (%.2f runs/s, workers=%d)\n",
 		s.SimRuns(), elapsed.Round(time.Millisecond),
-		float64(s.SimRuns())/elapsed.Seconds(), effective)
+		float64(s.SimRuns())/elapsed.Seconds(), s.Workers())
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,28 +14,28 @@ import (
 
 func TestRunSelectedQuickFigure(t *testing.T) {
 	// table1 on the quick profile runs three small simulation batches.
-	if err := run([]string{"-only", "table1", "-reps", "1"}); err != nil {
+	if err := run([]string{"-only", "table1", "-reps", "1"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if err := run([]string{"-profile", "bogus"}); err == nil {
+	if err := run([]string{"-profile", "bogus"}, io.Discard); err == nil {
 		t.Error("accepted unknown profile")
 	}
-	if err := run([]string{"-only", "fig99"}); err == nil {
+	if err := run([]string{"-only", "fig99"}, io.Discard); err == nil {
 		t.Error("accepted unknown figure")
 	}
-	if err := run([]string{"-not-a-flag"}); err == nil {
+	if err := run([]string{"-not-a-flag"}, io.Discard); err == nil {
 		t.Error("accepted unknown flag")
 	}
 }
 
 func TestRunTimeout(t *testing.T) {
-	if err := run([]string{"-only", "table1", "-reps", "1", "-timeout", "1h"}); err != nil {
+	if err := run([]string{"-only", "table1", "-reps", "1", "-timeout", "1h"}, io.Discard); err != nil {
 		t.Fatalf("ample timeout failed the suite: %v", err)
 	}
-	err := run([]string{"-only", "table1", "-reps", "1", "-timeout", "1ms"})
+	err := run([]string{"-only", "table1", "-reps", "1", "-timeout", "1ms"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "cancel") {
 		t.Fatalf("tight timeout err = %v, want canceled suite", err)
 	}
@@ -42,7 +45,7 @@ func TestRunTimeout(t *testing.T) {
 // suite must leave a parseable, non-empty NDJSON artifact behind.
 func TestRunWritesTraceArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "suite.jsonl")
-	if err := run([]string{"-only", "table1", "-reps", "1", "-trace", path}); err != nil {
+	if err := run([]string{"-only", "table1", "-reps", "1", "-trace", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -56,5 +59,27 @@ func TestRunWritesTraceArtifact(t *testing.T) {
 	}
 	if len(evs) == 0 {
 		t.Fatal("traced suite produced an empty artifact")
+	}
+}
+
+// TestFooterReportsWorkersUsed checks the stderr footer names the worker
+// count the pool actually ran with: the -workers count when untraced, and
+// 1 when -trace forced the batches serial.
+func TestFooterReportsWorkersUsed(t *testing.T) {
+	for _, tc := range []struct {
+		traced bool
+		want   int
+	}{{false, 3}, {true, 1}} {
+		args := []string{"-only", "table1", "-reps", "1", "-workers", "3"}
+		if tc.traced {
+			args = append(args, "-trace", filepath.Join(t.TempDir(), "suite.jsonl"))
+		}
+		var stderr bytes.Buffer
+		if err := run(args, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("workers=%d)", tc.want); !strings.Contains(stderr.String(), want) {
+			t.Fatalf("traced=%v: footer %q does not report %s", tc.traced, stderr.String(), want)
+		}
 	}
 }

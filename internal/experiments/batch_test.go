@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -66,10 +67,21 @@ func TestWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesSerialReplications checks the runner against the serial
-// scenario.RunReplications path for a multi-replication batch.
+// smallCfg is a five-node config short enough for pool-plumbing tests.
+func smallCfg() scenario.Config {
+	cfg := scenario.PaperDefaults()
+	cfg.Nodes = 5
+	cfg.Connections = 1
+	cfg.Duration = scenario.PaperDefaults().Duration / 100
+	return cfg
+}
+
+// TestRunnerMatchesSerialReplications checks a suite batch fanned across
+// workers against the serial scenario.RunReplications path, and that the
+// suite counts each of its replications once.
 func TestRunnerMatchesSerialReplications(t *testing.T) {
 	p := tiny()
+	p.Reps = 2
 	cfg := scenario.PaperDefaults()
 	cfg.Scheme = scenario.SchemeRcast
 	cfg.Nodes = p.Nodes
@@ -80,14 +92,18 @@ func TestRunnerMatchesSerialReplications(t *testing.T) {
 	cfg.Pause = p.PauseMobile
 	cfg.Seed = 7
 
-	want, err := scenario.RunReplications(cfg, 2)
+	want, err := scenario.RunReplications(cfg, p.Reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Runner{Workers: 4}
-	aggs, err := r.Run(context.Background(), []RunSpec{{Cfg: cfg, Reps: 2}})
+	s := NewSuite(p, nil)
+	s.SetWorkers(4)
+	aggs, err := s.runConfigs([]scenario.Config{cfg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.SimRuns() != int64(p.Reps) {
+		t.Fatalf("SimRuns = %d, want %d", s.SimRuns(), p.Reps)
 	}
 	got := aggs[0]
 	if len(got.Results) != len(want.Results) {
@@ -110,48 +126,54 @@ func TestRunnerMatchesSerialReplications(t *testing.T) {
 }
 
 // TestRunnerPropagatesError checks that an invalid cell surfaces its
-// simulation error from the middle of a parallel batch.
+// simulation error from the middle of a parallel batch, and that a failed
+// batch adds nothing to SimRuns.
 func TestRunnerPropagatesError(t *testing.T) {
-	good := scenario.PaperDefaults()
-	good.Nodes = 5
-	good.Connections = 1
-	good.Duration = scenario.PaperDefaults().Duration / 100
+	good := smallCfg()
 	bad := good
 	bad.Nodes = 1 // rejected by config validation
-	r := Runner{Workers: 4}
-	_, err := r.Run(context.Background(), []RunSpec{{Cfg: good}, {Cfg: bad}, {Cfg: good}})
-	if err == nil {
+	s := NewSuite(tiny(), nil)
+	s.SetWorkers(4)
+	if _, err := s.runConfigs([]scenario.Config{good, bad, good}); err == nil {
 		t.Fatal("invalid cell did not error")
+	}
+	if s.SimRuns() != 0 {
+		t.Fatalf("failed batch counted %d runs", s.SimRuns())
 	}
 }
 
 // TestRunnerCancelled checks that a cancelled context stops the batch and
-// is reported, on both the serial and parallel paths.
+// is reported as scenario.ErrCanceled wrapping the context's cause, on
+// both the serial and parallel paths.
 func TestRunnerCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := scenario.PaperDefaults()
-	cfg.Nodes = 5
-	cfg.Connections = 1
+	p := tiny()
+	p.Reps = 2
 	for _, workers := range []int{1, 4} {
-		r := Runner{Workers: workers}
-		_, err := r.Run(ctx, []RunSpec{{Cfg: cfg, Reps: 2}})
-		if err != context.Canceled {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		s := NewSuite(p, nil)
+		s.SetWorkers(workers)
+		s.SetContext(ctx)
+		_, err := s.runConfigs([]scenario.Config{smallCfg()})
+		if !errors.Is(err, scenario.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want ErrCanceled wrapping context.Canceled", workers, err)
 		}
 	}
 }
 
-// TestTraceForcesSerial checks that a spec carrying a trace sink (whose
-// sinks are not safe for concurrent emission) still runs correctly.
+// TestTraceForcesSerial checks that a suite carrying a trace sink (whose
+// sinks are not safe for concurrent emission) reports and uses one worker
+// whatever SetWorkers asked for, and still runs correctly.
 func TestTraceForcesSerial(t *testing.T) {
-	cfg := scenario.PaperDefaults()
-	cfg.Nodes = 5
-	cfg.Connections = 1
-	cfg.Duration = scenario.PaperDefaults().Duration / 100
-	cfg.Trace = discardSink{}
-	r := Runner{Workers: 8}
-	aggs, err := r.Run(context.Background(), []RunSpec{{Cfg: cfg, Reps: 2}})
+	p := tiny()
+	p.Reps = 2
+	s := NewSuite(p, nil)
+	s.SetWorkers(8)
+	s.SetTrace(discardSink{})
+	if got := s.Workers(); got != 1 {
+		t.Fatalf("traced suite Workers() = %d, want 1", got)
+	}
+	aggs, err := s.runConfigs([]scenario.Config{smallCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"rcast/internal/fault"
 	"rcast/internal/scenario"
@@ -95,8 +94,8 @@ type runKey struct {
 }
 
 // Suite runs and caches the simulations behind all generators. Simulation
-// cells fan out across a worker pool (see Runner); the reports and series a
-// suite produces are byte-identical for every worker count.
+// cells fan out through scenario.RunBatch; the reports and series a suite
+// produces are byte-identical for every worker count.
 type Suite struct {
 	p         Profile
 	out       io.Writer
@@ -106,7 +105,7 @@ type Suite struct {
 	faults    *fault.Plan
 	traceSink trace.Sink
 	ctx       context.Context
-	simRuns   atomic.Int64
+	simRuns   int64
 }
 
 // NewSuite creates a suite writing its reports to out. Runs fan out across
@@ -140,7 +139,7 @@ func (s *Suite) SetFaults(plan *fault.Plan) {
 }
 
 // SetTrace installs a packet-lifecycle trace sink (scenario.Config.Trace)
-// on every simulation the suite runs. A non-nil sink forces the runner
+// on every simulation the suite runs. A non-nil sink forces the batches
 // serial (sinks are not safe for concurrent emission), so expect the
 // suite to slow accordingly. Cached aggregates were produced without the
 // sink's events, so the cache is cleared; call SetTrace before running
@@ -150,8 +149,9 @@ func (s *Suite) SetTrace(sink trace.Sink) {
 	s.cache = make(map[runKey]*scenario.Aggregate)
 }
 
-// SetContext installs a cancellation context consulted between simulation
-// runs; cancelling it makes the in-progress generator return its error.
+// SetContext installs a cancellation context for the suite's simulation
+// runs; cancelling it stops the runs in flight and makes the in-progress
+// generator return its error.
 func (s *Suite) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // Runs returns how many distinct simulation batches have been executed.
@@ -159,10 +159,13 @@ func (s *Suite) Runs() int { return len(s.cache) }
 
 // SimRuns returns how many individual simulations have completed (each
 // replication of each batch counts once, ablation batches included).
-func (s *Suite) SimRuns() int64 { return s.simRuns.Load() }
+func (s *Suite) SimRuns() int64 { return s.simRuns }
 
-func (s *Suite) runner() Runner {
-	return Runner{Workers: s.workers, OnRunDone: func() { s.simRuns.Add(1) }}
+// Workers reports how many workers the suite's batches run on: the
+// SetWorkers count resolved by scenario.BatchWorkers, so a trace sink
+// reports 1.
+func (s *Suite) Workers() int {
+	return scenario.BatchWorkers([]scenario.Batch{{Cfg: s.config(runKey{})}}, s.workers)
 }
 
 func (s *Suite) context() context.Context {
@@ -226,11 +229,11 @@ func (s *Suite) prefetch(keys ...runKey) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	specs := make([]RunSpec, len(missing))
+	cfgs := make([]scenario.Config, len(missing))
 	for i, k := range missing {
-		specs[i] = RunSpec{Cfg: s.config(k), Reps: s.p.Reps}
+		cfgs[i] = s.config(k)
 	}
-	aggs, err := s.runner().Run(s.context(), specs)
+	aggs, err := s.runConfigs(cfgs)
 	if err != nil {
 		return err
 	}
@@ -240,19 +243,25 @@ func (s *Suite) prefetch(keys ...runKey) error {
 	return nil
 }
 
-// runConfigs executes one replication batch per config across the worker
-// pool and returns aggregates in input order. Used by the ablations, whose
-// configs carry knobs outside the runKey cache.
+// runConfigs runs one replication batch per config through
+// scenario.RunBatch and returns aggregates in input order, counting the
+// batch's runs once it succeeds. The ablations call it directly, since
+// their configs carry knobs outside the runKey cache.
 func (s *Suite) runConfigs(cfgs []scenario.Config) ([]*scenario.Aggregate, error) {
-	specs := make([]RunSpec, len(cfgs))
+	batches := make([]scenario.Batch, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg.Audit = cfg.Audit || s.audit
 		if cfg.Trace == nil {
 			cfg.Trace = s.traceSink
 		}
-		specs[i] = RunSpec{Cfg: cfg, Reps: s.p.Reps}
+		batches[i] = scenario.Batch{Cfg: cfg, Reps: s.p.Reps}
 	}
-	return s.runner().Run(s.context(), specs)
+	aggs, err := scenario.RunBatch(s.context(), batches, s.workers)
+	if err != nil {
+		return nil, err
+	}
+	s.simRuns += int64(len(cfgs) * max(s.p.Reps, 1))
+	return aggs, nil
 }
 
 func (s *Suite) printf(format string, args ...any) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -203,11 +204,11 @@ func TestFaultWorkerCountInvariance(t *testing.T) {
 	cfg := faultBase()
 	cfg.Duration = 45 * sim.Second
 	cfg.Faults = mustPreset(t, "crash")
-	serial, err := RunReplicationsWorkers(cfg, 3, 1)
+	serial, err := RunReplicationsContext(context.Background(), cfg, 3, 1)
 	if err != nil {
 		t.Fatalf("serial replications failed: %v", err)
 	}
-	parallel, err := RunReplicationsWorkers(cfg, 3, 3)
+	parallel, err := RunReplicationsContext(context.Background(), cfg, 3, 3)
 	if err != nil {
 		t.Fatalf("parallel replications failed: %v", err)
 	}

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"rcast/internal/audit"
 	"rcast/internal/core"
@@ -266,9 +263,8 @@ type Aggregate struct {
 }
 
 // AggregateResults folds already-computed replication results, in
-// replication order, into an Aggregate. It is the merge half of
-// RunReplications, shared with the parallel experiment runner so that
-// serial and parallel execution aggregate bit-identically.
+// replication order, into an Aggregate. It is the merge half of RunBatch,
+// so every caller that merges replications aggregates bit-identically.
 func AggregateResults(results []*Result) *Aggregate {
 	agg := &Aggregate{}
 	var sortedSum []float64
@@ -299,91 +295,16 @@ func AggregateResults(results []*Result) *Aggregate {
 // RunReplications runs cfg reps times with per-replication seeds derived
 // by sim.ReplicationSeed and aggregates the headline metrics.
 func RunReplications(cfg Config, reps int) (*Aggregate, error) {
-	return RunReplicationsWorkers(cfg, reps, 1)
+	return RunReplicationsContext(context.Background(), cfg, reps, 1)
 }
 
-// RunReplicationsWorkers is RunReplications with the replications fanned
-// across at most workers goroutines; see RunReplicationsContext.
-func RunReplicationsWorkers(cfg Config, reps, workers int) (*Aggregate, error) {
-	return RunReplicationsContext(context.Background(), cfg, reps, workers)
-}
-
-// RunReplicationsContext fans the replications across at most workers
-// goroutines under a cancellation context. Each replication derives its own
-// seed (sim.ReplicationSeed(cfg.Seed, i)) and builds a private world, so runs
-// share no RNG or scheduler state; results merge in replication order,
-// making the aggregate identical for every worker count. workers <= 0
-// selects runtime.GOMAXPROCS(0). A non-nil cfg.Trace forces workers = 1:
-// replications would otherwise emit concurrently into one sink. Cancelling
-// ctx stops in-flight replications promptly (see RunContext) and the first
-// error wins.
+// RunReplicationsContext is RunReplications as a one-batch RunBatch: the
+// replications fan across at most workers goroutines under ctx, and the
+// aggregate is identical for every worker count.
 func RunReplicationsContext(ctx context.Context, cfg Config, reps, workers int) (*Aggregate, error) {
-	if reps < 1 {
-		reps = 1
+	aggs, err := RunBatch(ctx, []Batch{{Cfg: cfg, Reps: reps}}, workers)
+	if err != nil {
+		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Trace != nil {
-		workers = 1
-	}
-	if workers > reps {
-		workers = reps
-	}
-	results := make([]*Result, reps)
-	runRep := func(i int) error {
-		c := cfg
-		c.Seed = sim.ReplicationSeed(cfg.Seed, i)
-		res, err := RunContext(ctx, c)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	}
-	if workers == 1 {
-		for i := range results {
-			if err := runRep(i); err != nil {
-				return nil, err
-			}
-		}
-		return AggregateResults(results), nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= reps {
-					return
-				}
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
-				if err := runRep(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return AggregateResults(results), nil
+	return aggs[0], nil
 }

@@ -118,39 +118,26 @@ func lossErr(format string, args ...any) *cellError {
 }
 
 // fleetTask is one unit of the shared work queue: an index into the
-// sweep's deduplicated key order plus its retry count.
+// sweep's unique keys plus its retry count.
 type fleetTask struct {
 	k        int
 	attempts int
 }
 
-func (f *fleetExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, error) {
-	s := f.s
-	results := make([][]byte, len(sw.cells))
-
-	// Deduplicate cells by canonical key: one dispatch per unique config.
-	byKey := make(map[string][]int)
-	var keyOrder []string
-	for i, c := range sw.cells {
-		if _, seen := byKey[c.Key]; !seen {
-			keyOrder = append(keyOrder, c.Key)
-		}
-		byKey[c.Key] = append(byKey[c.Key], i)
-	}
-
+func (f *fleetExecutor) runKeys(ctx context.Context, run *sweepRun) error {
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
 	// The queue is sized to hold every task at once, so requeues (which
 	// can come from timer goroutines) never block.
-	work := make(chan fleetTask, len(keyOrder))
-	for k := range keyOrder {
+	work := make(chan fleetTask, len(run.keys))
+	for k := range run.keys {
 		work <- fleetTask{k: k}
 	}
 
 	var (
 		mu        sync.Mutex
-		remaining = len(keyOrder)
+		remaining = len(run.keys)
 		firstErr  error
 	)
 	done := make(chan struct{})
@@ -163,28 +150,18 @@ func (f *fleetExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, erro
 		cancel(err)
 	}
 	finishKey := func(k int, body []byte, source, workerURL string) {
-		idxs := byKey[keyOrder[k]]
+		run.done(k, body, source, workerURL)
 		mu.Lock()
-		for _, i := range idxs {
-			results[i] = body
-		}
 		remaining--
 		last := remaining == 0
 		mu.Unlock()
-		for _, i := range idxs {
-			s.mFleetCells.Inc(source)
-			sw.cellDone(i, source, workerURL)
-		}
 		if last {
 			close(done)
 		}
 	}
 	requeue := func(t fleetTask) {
-		idxs := byKey[keyOrder[t.k]]
-		for _, i := range idxs {
-			sw.cellRetried(i)
-		}
-		s.mFleetRetries.Inc()
+		run.retried(t.k)
+		f.s.mFleetRetries.Inc()
 		delay := f.opts.RetryBackoff << t.attempts
 		t.attempts++
 		time.AfterFunc(delay, func() {
@@ -218,12 +195,9 @@ func (f *fleetExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, erro
 				case <-done:
 					return
 				case t := <-work:
-					idxs := byKey[keyOrder[t.k]]
-					for _, i := range idxs {
-						sw.cellRunning(i)
-					}
-					cell := &sw.cells[idxs[0]]
-					body, source, fromURL, err := f.resolve(runCtx, sw, w, cell)
+					run.running(t.k)
+					cell := run.keys[t.k].cell
+					body, source, fromURL, err := f.resolve(runCtx, w, cell)
 					if err == nil {
 						finishKey(t.k, body, source, fromURL)
 						continue
@@ -272,22 +246,22 @@ func (f *fleetExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, erro
 	left := remaining
 	mu.Unlock()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if left != 0 {
-		return nil, fmt.Errorf("serve: fleet dispatch ended with %d cells unresolved", left)
+		return fmt.Errorf("serve: fleet dispatch ended with %d cells unresolved", left)
 	}
-	return results, nil
+	return nil
 }
 
 // resolve obtains one cell's result bytes: coordinator cache, then a
 // peer-cache probe across the fleet, then a real run on worker w. It
 // returns the bytes, their source, and the worker URL that supplied them
 // ("" for a coordinator cache hit).
-func (f *fleetExecutor) resolve(ctx context.Context, sw *Sweep, w *fleetWorker, cell *SweepCell) ([]byte, string, string, error) {
+func (f *fleetExecutor) resolve(ctx context.Context, w *fleetWorker, cell *SweepCell) ([]byte, string, string, error) {
 	if body, ok := f.s.cache.Get(cell.Key); ok {
 		return body, CellSourceCache, "", nil
 	}

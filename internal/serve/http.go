@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -87,11 +88,28 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
+// maxRequestBytes bounds a job or sweep submission body. Decoding stops
+// once a body passes it, so one huge request cannot pin the daemon's
+// memory; the client gets 413.
+const maxRequestBytes = 1 << 20
+
+// rejectBody answers a submission whose body failed to parse: 413 when it
+// passed maxRequestBytes, 400 otherwise.
+func (s *Server) rejectBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.mRejected.Inc("too_large")
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBytes)
+		return
+	}
+	s.mRejected.Inc("bad_request")
+	writeError(w, http.StatusBadRequest, "%v", err)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := ParseJobRequest(r.Body)
+	req, err := ParseJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		s.mRejected.Inc("bad_request")
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.rejectBody(w, err)
 		return
 	}
 	job, outcome, err := s.Submit(req)

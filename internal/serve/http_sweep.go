@@ -8,10 +8,9 @@ import (
 )
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := ParseSweepRequest(r.Body)
+	req, err := ParseSweepRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		s.mRejected.Inc("bad_request")
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.rejectBody(w, err)
 		return
 	}
 	sw, outcome, err := s.SubmitSweep(req)

@@ -256,6 +256,41 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyLimit checks both submission endpoints answer a body past
+// maxRequestBytes with 413 and the usual JSON error, while a valid body
+// just under the limit is still accepted. The oversized bodies are valid
+// JSON (leading whitespace), so only their size can reject them.
+func TestHTTPBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	for _, ep := range []struct{ path, body string }{
+		{"/api/v1/jobs", quickBody},
+		{"/api/v1/sweeps", quickSweepBody},
+	} {
+		post := func(pad int) (int, errorBody) {
+			t.Helper()
+			body := strings.Repeat(" ", pad) + ep.body
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s: %v", ep.path, err)
+			}
+			defer resp.Body.Close()
+			var eb errorBody
+			if resp.StatusCode >= 400 {
+				if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+					t.Fatalf("POST %s: decode error body: %v", ep.path, err)
+				}
+			}
+			return resp.StatusCode, eb
+		}
+		if code, eb := post(maxRequestBytes); code != http.StatusRequestEntityTooLarge || eb.Error == "" {
+			t.Fatalf("POST %s oversized: status %d error %q, want 413 with a JSON error", ep.path, code, eb.Error)
+		}
+		if code, eb := post(maxRequestBytes - len(ep.body)); code != http.StatusAccepted {
+			t.Fatalf("POST %s at the limit: status %d (%q), want 202", ep.path, code, eb.Error)
+		}
+	}
+}
+
 func TestHTTPQueueFull429(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, RetryAfter: 3 * time.Second})
 	release := make(chan struct{})

@@ -445,12 +445,72 @@ func MarshalSweepResult(key string, cells []SweepCell, results [][]byte) ([]byte
 	return json.Marshal(out)
 }
 
-// sweepExecutor obtains every cell's canonical result bytes. The local
-// executor computes on this process; the fleet executor shards across
-// remote workers. Implementations report per-cell progress through sw's
-// cell hooks and must return results indexed like sw.cells.
+// sweepExecutor obtains the canonical result bytes of every unique key of
+// a sweep. The local executor computes on this process; the fleet
+// executor shards across remote workers. Implementations report each key
+// through run's hooks and return the first error.
 type sweepExecutor interface {
-	runSweep(ctx context.Context, sw *Sweep) ([][]byte, error)
+	runKeys(ctx context.Context, run *sweepRun) error
+}
+
+// sweepKey is one canonical key of a sweep: the first cell carrying it,
+// which is the one executors resolve, and the index of every cell that
+// shares its bytes.
+type sweepKey struct {
+	cell  *SweepCell
+	cells []int
+}
+
+// groupKeys groups cells by canonical key in first-appearance order, so
+// no config is resolved twice per sweep however the grid was phrased.
+func groupKeys(cells []SweepCell) []sweepKey {
+	at := make(map[string]int)
+	var keys []sweepKey
+	for i := range cells {
+		k, ok := at[cells[i].Key]
+		if !ok {
+			k = len(keys)
+			at[cells[i].Key] = k
+			keys = append(keys, sweepKey{cell: &cells[i]})
+		}
+		keys[k].cells = append(keys[k].cells, i)
+	}
+	return keys
+}
+
+// sweepRun is one execution of a sweep's unique keys. Its hooks fan each
+// key's state and bytes out to every cell sharing the key; results is
+// indexed like the sweep's cells and complete once the executor returns
+// nil.
+type sweepRun struct {
+	s       *Server
+	sw      *Sweep
+	keys    []sweepKey
+	results [][]byte
+}
+
+// running marks key k's cells dispatched.
+func (r *sweepRun) running(k int) {
+	for _, i := range r.keys[k].cells {
+		r.sw.cellRunning(i)
+	}
+}
+
+// retried marks key k's cells queued again after a worker loss.
+func (r *sweepRun) retried(k int) {
+	for _, i := range r.keys[k].cells {
+		r.sw.cellRetried(i)
+	}
+}
+
+// done records key k's bytes, their source and the worker that supplied
+// them ("" when local) for each of its cells.
+func (r *sweepRun) done(k int, body []byte, source, worker string) {
+	for _, i := range r.keys[k].cells {
+		r.results[i] = body
+		r.s.mFleetCells.Inc(source)
+		r.sw.cellDone(i, source, worker)
+	}
 }
 
 // SubmitSweep validates, expands and admits one sweep. The error is
@@ -598,14 +658,15 @@ func (s *Server) runSweep(sw *Sweep) {
 		return
 	}
 	s.mSweepsRunning.Inc()
-	results, err := s.sweepExec.runSweep(ctx, sw)
+	run := &sweepRun{s: s, sw: sw, keys: groupKeys(sw.cells), results: make([][]byte, len(sw.cells))}
+	err := s.sweepExec.runKeys(ctx, run)
 	s.mSweepsRunning.Dec()
 	if err != nil {
 		state, msg := classifySweepError(ctx, err)
 		s.finishSweep(sw, state, msg, nil)
 		return
 	}
-	body, err := MarshalSweepResult(sw.Key, sw.cells, results)
+	body, err := MarshalSweepResult(sw.Key, sw.cells, run.results)
 	if err != nil {
 		s.finishSweep(sw, StateFailed, fmt.Sprintf("marshal sweep result: %v", err), nil)
 		return
@@ -644,97 +705,21 @@ func (s *Server) finishSweep(sw *Sweep, state State, msg string, result []byte) 
 	s.mSweepsTerminal.Inc(string(state))
 }
 
-// localSweepExecutor computes cells on this process: result cache first,
-// then the same engine call path jobs use. Cells sharing a canonical key
-// are computed once; the worker-pool fan-out is bounded by Options.Workers.
+// localSweepExecutor computes keys on this process, at most
+// Options.Workers at a time through scenario.ForEach: result cache first,
+// then the same engine call path jobs use.
 type localSweepExecutor struct{ s *Server }
 
-func (l localSweepExecutor) runSweep(ctx context.Context, sw *Sweep) ([][]byte, error) {
-	s := l.s
-	results := make([][]byte, len(sw.cells))
-
-	// Group cells by canonical key: no cell is computed twice per sweep,
-	// however the grid was phrased.
-	byKey := make(map[string][]int)
-	var keyOrder []string
-	for i, c := range sw.cells {
-		if _, seen := byKey[c.Key]; !seen {
-			keyOrder = append(keyOrder, c.Key)
+func (l localSweepExecutor) runKeys(ctx context.Context, run *sweepRun) error {
+	return scenario.ForEach(ctx, l.s.opts.Workers, len(run.keys), func(ctx context.Context, k int) error {
+		run.running(k)
+		body, source, err := l.execCell(ctx, run.sw, run.keys[k].cell)
+		if err != nil {
+			return err
 		}
-		byKey[c.Key] = append(byKey[c.Key], i)
-	}
-
-	workers := s.opts.Workers
-	if workers > len(keyOrder) {
-		workers = len(keyOrder)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	poolCtx, cancelPool := context.WithCancelCause(ctx)
-	defer cancelPool(nil)
-	takeKey := func() (string, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(keyOrder) || firstErr != nil {
-			return "", false
-		}
-		k := keyOrder[next]
-		next++
-		return k, true
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancelPool(err)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if poolCtx.Err() != nil {
-					return
-				}
-				key, ok := takeKey()
-				if !ok {
-					return
-				}
-				idxs := byKey[key]
-				for _, i := range idxs {
-					sw.cellRunning(i)
-				}
-				body, source, err := l.execCell(poolCtx, sw, &sw.cells[idxs[0]])
-				if err != nil {
-					fail(err)
-					return
-				}
-				mu.Lock()
-				for _, i := range idxs {
-					results[i] = body
-				}
-				mu.Unlock()
-				for _, i := range idxs {
-					s.mFleetCells.Inc(source)
-					sw.cellDone(i, source, "")
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+		run.done(k, body, source, "")
+		return nil
+	})
 }
 
 // execCell resolves one cell: result cache first, then a real engine run

@@ -242,16 +242,11 @@ func RunReplications(cfg Config, reps int) (*Aggregate, error) {
 	return scenario.RunReplications(cfg, reps)
 }
 
-// RunReplicationsWorkers is RunReplications with the replications fanned
+// RunReplicationsContext is RunReplications with the replications fanned
 // out across up to workers goroutines (workers <= 0 selects
-// runtime.GOMAXPROCS(0)). Every replication carries its own derived seed,
-// so the aggregate is identical for every worker count.
-func RunReplicationsWorkers(cfg Config, reps, workers int) (*Aggregate, error) {
-	return scenario.RunReplicationsWorkers(cfg, reps, workers)
-}
-
-// RunReplicationsContext is RunReplicationsWorkers under a cancellation
-// context; see RunContext for the cancellation semantics.
+// runtime.GOMAXPROCS(0)) under a cancellation context; see RunContext for
+// the cancellation semantics. Every replication carries its own derived
+// seed, so the aggregate is identical for every worker count.
 func RunReplicationsContext(ctx context.Context, cfg Config, reps, workers int) (*Aggregate, error) {
 	return scenario.RunReplicationsContext(ctx, cfg, reps, workers)
 }

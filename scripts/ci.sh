@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: vet, shadow lint, build, race-enabled tests, a short fuzz pass
-# over the MAC, route-cache, scheduler-wheel and trace-reader targets, the
-# coverage gate, the calibrated two-cell perf-smoke gate, a benchmark smoke
+# CI gate: vet, shadow lint, build, race-enabled tests, a run of every
+# examples/ program, a short fuzz pass over the MAC, route-cache,
+# scheduler-wheel, trace-reader, propagation-grid and job-request targets,
+# the coverage gate, the calibrated two-cell perf-smoke gate, a benchmark smoke
 # run, a tracediff smoke (audit inert / seeds diverge), the golden-trace corpus
 # gate (every committed cell re-runs and replays byte-identically), a
 # record/replay round-trip smoke through the rcast-sim CLI,
@@ -25,12 +26,21 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== examples =="
+# Every example program must run to completion (each takes a few seconds);
+# set -e fails the gate on the first non-zero exit.
+for ex in examples/*/; do
+  echo "-- $ex"
+  go run "./$ex" > /dev/null
+done
+
 echo "== fuzz smoke =="
 go test -run '^$' -fuzz 'FuzzPSMOperations' -fuzztime 10s ./internal/mac
 go test -run '^$' -fuzz 'FuzzCacheOperations' -fuzztime 10s ./internal/routing/dsr
 go test -run '^$' -fuzz 'FuzzSchedulerWheel' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzPropagationGrid' -fuzztime 10s ./internal/phy
+go test -run '^$' -fuzz 'FuzzJobRequest' -fuzztime 10s ./internal/serve
 
 echo "== coverage gate =="
 go run ./tools/covergate
