@@ -26,19 +26,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "rcast-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// run executes the command; the timing footer and profile-write errors go
-// to stderr.
-func run(args []string, stderr io.Writer) error {
+// run executes the command: reports go to stdout, the timing footer and
+// profile-write errors to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("rcast-bench", flag.ContinueOnError)
 	var (
 		profileName = fs.String("profile", "quick", "experiment profile: quick or paper")
-		only        = fs.String("only", "", "comma-separated subset: table1,fig5,fig6,fig7,fig8,fig9,a1,a2,a3,a4,a5,a6,a7,a8,a9,a10")
+		only        = fs.String("only", "", "comma-separated subset: "+strings.Join(experiments.Names(), ","))
 		reps        = fs.Int("reps", 0, "override replication count (0 = profile default)")
 		csvDir      = fs.String("csv", "", "also write sweep/fig5/fig9 series as CSV into this directory")
 		workers     = fs.Int("workers", 0, "parallel simulation workers (0 = all CPUs, 1 = serial)")
@@ -76,7 +76,7 @@ func run(args []string, stderr io.Writer) error {
 		p.Reps = *reps
 	}
 
-	s := experiments.NewSuite(p, os.Stdout)
+	s := experiments.NewSuite(p, stdout)
 	s.SetWorkers(*workers)
 	s.SetAudit(*auditOn)
 	if *timeout > 0 {
@@ -105,7 +105,14 @@ func run(args []string, stderr io.Writer) error {
 		s.SetTrace(trace.NewWriter(bw))
 	}
 	start := time.Now()
-	if err := runFigures(s, *only); err != nil {
+	names := experiments.Names()
+	if *only != "" {
+		names = strings.Split(strings.ToLower(*only), ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+		}
+	}
+	if err := s.Run(names...); err != nil {
 		return err
 	}
 	if *csvDir != "" {
@@ -120,42 +127,6 @@ func run(args []string, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "rcast-bench: %d simulation runs in %s (%.2f runs/s, workers=%d)\n",
 		s.SimRuns(), elapsed.Round(time.Millisecond),
 		float64(s.SimRuns())/elapsed.Seconds(), s.Workers())
-	return nil
-}
-
-// runFigures executes the selected generators (or all of them).
-func runFigures(s *experiments.Suite, only string) error {
-	if only == "" {
-		return s.All()
-	}
-	steps := map[string]func() error{
-		"table1": func() error { _, err := s.Table1(); return err },
-		"fig5":   func() error { _, err := s.Fig5(); return err },
-		"fig6":   func() error { _, err := s.Fig6(); return err },
-		"fig7":   func() error { _, err := s.Fig7(); return err },
-		"fig8":   func() error { _, err := s.Fig8(); return err },
-		"fig9":   func() error { _, err := s.Fig9(); return err },
-		"a1":     func() error { _, err := s.AblationPolicies(); return err },
-		"a2":     func() error { _, err := s.AblationLevels(); return err },
-		"a3":     func() error { _, err := s.AblationGossip(); return err },
-		"a4":     func() error { _, err := s.AblationCacheStrategies(); return err },
-		"a5":     func() error { _, err := s.AblationLifetime(); return err },
-		"a6":     func() error { _, err := s.AblationRouting(); return err },
-		"a7":     func() error { _, err := s.AblationATIM(); return err },
-		"a8":     func() error { _, err := s.AblationFaults(); return err },
-		"a9":     func() error { _, err := s.AblationChannels(); return err },
-		"a10":    func() error { _, err := s.AblationTxPower(); return err },
-	}
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(strings.ToLower(name))
-		step, ok := steps[name]
-		if !ok {
-			return fmt.Errorf("unknown figure %q", name)
-		}
-		if err := step(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

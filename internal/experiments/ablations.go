@@ -15,24 +15,29 @@ type PolicyResult struct {
 	Overhead       float64
 }
 
+var policyNames = []string{"rcast", "sender-id", "battery", "mobility", "combined"}
+
 // AblationPolicies compares the paper's evaluated P_R = 1/neighbors policy
 // against the §3.2/§5 factor policies (sender ID, battery, mobility, and
 // all factors combined) on the Rcast stack at the low-rate mobile point.
 func (s *Suite) AblationPolicies() ([]PolicyResult, error) {
-	policies := []string{"rcast", "sender-id", "battery", "mobility", "combined"}
-	cfgs := make([]scenario.Config, len(policies))
-	for i, name := range policies {
-		cfgs[i] = s.config(runKey{scheme: scenario.SchemeRcast, rate: s.p.LowRate})
-		cfgs[i].PolicyName = name
+	return generate(s, (*Suite).policyCells, (*Suite).policies)
+}
+
+func (s *Suite) policyCells() []scenario.Config {
+	cells := make([]scenario.Config, len(policyNames))
+	for i, name := range policyNames {
+		cells[i] = s.cell(scenario.SchemeRcast, s.p.LowRate, false)
+		cells[i].PolicyName = name
 	}
-	aggs, err := s.runConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+func (s *Suite) policies(aggs []*scenario.Aggregate) []PolicyResult {
 	s.printf("== Ablation A1: overhearing-decision factors (Rcast stack, rate=%.1f, mobile) ==\n", s.p.LowRate)
 	s.printf("%-10s %10s %10s %8s %9s %9s\n", "policy", "energy(J)", "varJ", "PDR", "delay(s)", "overhead")
-	var rows []PolicyResult
-	for i, name := range policies {
+	rows := make([]PolicyResult, len(policyNames))
+	for i, name := range policyNames {
 		a := aggs[i]
 		row := PolicyResult{
 			Policy:         name,
@@ -42,12 +47,12 @@ func (s *Suite) AblationPolicies() ([]PolicyResult, error) {
 			AvgDelaySec:    a.AvgDelaySec.Mean(),
 			Overhead:       a.NormalizedOverhead.Mean(),
 		}
-		rows = append(rows, row)
+		rows[i] = row
 		s.printf("%-10s %10.0f %10.0f %8.3f %9.3f %9.2f\n",
 			row.Policy, row.TotalJoules, row.EnergyVariance, row.PDR, row.AvgDelaySec, row.Overhead)
 	}
 	s.printf("\n")
-	return rows, nil
+	return rows
 }
 
 // LevelResult is one row of the overhearing-level ablation.
@@ -60,28 +65,27 @@ type LevelResult struct {
 	EnergyVariance float64
 }
 
+var levelSchemes = []scenario.Scheme{
+	scenario.SchemePSMNoOverhear, scenario.SchemePSM, scenario.SchemeRcast,
+}
+
 // AblationLevels compares the Fig. 2 overhearing taxonomy end to end:
 // no overhearing (naive PSM), unconditional overhearing (unmodified PSM),
 // and randomized overhearing (Rcast).
 func (s *Suite) AblationLevels() ([]LevelResult, error) {
-	schemes := []scenario.Scheme{
-		scenario.SchemePSMNoOverhear, scenario.SchemePSM, scenario.SchemeRcast,
-	}
-	keys := make([]runKey, len(schemes))
-	for i, sch := range schemes {
-		keys[i] = runKey{scheme: sch, rate: s.p.LowRate}
-	}
-	if err := s.prefetch(keys...); err != nil {
-		return nil, err
-	}
+	return generate(s, (*Suite).levelCells, (*Suite).levels)
+}
+
+func (s *Suite) levelCells() []scenario.Config {
+	return s.schemeCells(levelSchemes, s.p.LowRate, false)
+}
+
+func (s *Suite) levels(aggs []*scenario.Aggregate) []LevelResult {
 	s.printf("== Ablation A2: no / unconditional / randomized overhearing (rate=%.1f, mobile) ==\n", s.p.LowRate)
 	s.printf("%-16s %10s %8s %9s %10s %10s\n", "scheme", "energy(J)", "PDR", "overhead", "EPB", "varJ")
-	var rows []LevelResult
-	for _, sch := range schemes {
-		a, err := s.agg(runKey{scheme: sch, rate: s.p.LowRate})
-		if err != nil {
-			return nil, err
-		}
+	rows := make([]LevelResult, len(levelSchemes))
+	for i, sch := range levelSchemes {
+		a := aggs[i]
 		row := LevelResult{
 			Scheme:         sch,
 			TotalJoules:    a.TotalJoules.Mean(),
@@ -90,12 +94,12 @@ func (s *Suite) AblationLevels() ([]LevelResult, error) {
 			EnergyPerBit:   a.EnergyPerBit.Mean(),
 			EnergyVariance: a.EnergyVariance.Mean(),
 		}
-		rows = append(rows, row)
+		rows[i] = row
 		s.printf("%-16s %10.0f %8.3f %9.2f %10.2e %10.0f\n",
 			sch, row.TotalJoules, row.PDR, row.Overhead, row.EnergyPerBit, row.EnergyVariance)
 	}
 	s.printf("\n")
-	return rows, nil
+	return rows
 }
 
 // GossipResult is one row of the broadcast-Rcast ablation.
@@ -110,34 +114,38 @@ type GossipResult struct {
 // Rcast-ing broadcasts (probabilistic rebroadcast damping) on the Rcast
 // stack at the high-rate mobile point, where discoveries are most frequent.
 func (s *Suite) AblationGossip() ([]GossipResult, error) {
-	if err := s.prefetch(
-		runKey{scheme: scenario.SchemeRcast, rate: s.p.HighRate},
-		runKey{scheme: scenario.SchemeRcast, rate: s.p.HighRate, gossip: true},
-	); err != nil {
-		return nil, err
+	return generate(s, (*Suite).gossipCells, (*Suite).gossip)
+}
+
+// gossipCells are plain Rcast, then Rcast with gossip fanout 3.
+func (s *Suite) gossipCells() []scenario.Config {
+	cells := []scenario.Config{
+		s.cell(scenario.SchemeRcast, s.p.HighRate, false),
+		s.cell(scenario.SchemeRcast, s.p.HighRate, false),
 	}
+	cells[1].GossipFanout = 3
+	return cells
+}
+
+func (s *Suite) gossip(aggs []*scenario.Aggregate) []GossipResult {
 	s.printf("== Ablation A3: broadcast Rcast (RREQ rebroadcast damping, rate=%.1f, mobile) ==\n", s.p.HighRate)
 	s.printf("%-8s %8s %12s %9s\n", "gossip", "PDR", "RREQ tx", "overhead")
 	var rows []GossipResult
-	for _, gossip := range []bool{false, true} {
-		a, err := s.agg(runKey{scheme: scenario.SchemeRcast, rate: s.p.HighRate, gossip: gossip})
-		if err != nil {
-			return nil, err
-		}
+	for i, gossip := range []bool{false, true} {
+		a := aggs[i]
 		var rreq float64
 		for _, r := range a.Results {
 			rreq += float64(r.ControlByClass[core.ClassRREQ])
 		}
-		rreq /= float64(len(a.Results))
 		row := GossipResult{
 			Gossip:   gossip,
 			PDR:      a.PDR.Mean(),
-			RREQTx:   rreq,
+			RREQTx:   rreq / float64(len(a.Results)),
 			Overhead: a.NormalizedOverhead.Mean(),
 		}
 		rows = append(rows, row)
 		s.printf("%-8v %8.3f %12.0f %9.2f\n", gossip, row.PDR, row.RREQTx, row.Overhead)
 	}
 	s.printf("\n")
-	return rows, nil
+	return rows
 }

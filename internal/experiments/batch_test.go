@@ -98,7 +98,7 @@ func TestRunnerMatchesSerialReplications(t *testing.T) {
 	}
 	s := NewSuite(p, nil)
 	s.SetWorkers(4)
-	aggs, err := s.runConfigs([]scenario.Config{cfg})
+	aggs, err := s.aggregates([]scenario.Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRunnerPropagatesError(t *testing.T) {
 	bad.Nodes = 1 // rejected by config validation
 	s := NewSuite(tiny(), nil)
 	s.SetWorkers(4)
-	if _, err := s.runConfigs([]scenario.Config{good, bad, good}); err == nil {
+	if _, err := s.aggregates([]scenario.Config{good, bad, good}); err == nil {
 		t.Fatal("invalid cell did not error")
 	}
 	if s.SimRuns() != 0 {
@@ -154,7 +154,7 @@ func TestRunnerCancelled(t *testing.T) {
 		s := NewSuite(p, nil)
 		s.SetWorkers(workers)
 		s.SetContext(ctx)
-		_, err := s.runConfigs([]scenario.Config{smallCfg()})
+		_, err := s.aggregates([]scenario.Config{smallCfg()})
 		if !errors.Is(err, scenario.ErrCanceled) || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCanceled wrapping context.Canceled", workers, err)
 		}
@@ -173,7 +173,7 @@ func TestTraceForcesSerial(t *testing.T) {
 	if got := s.Workers(); got != 1 {
 		t.Fatalf("traced suite Workers() = %d, want 1", got)
 	}
-	aggs, err := s.runConfigs([]scenario.Config{smallCfg()})
+	aggs, err := s.aggregates([]scenario.Config{smallCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}

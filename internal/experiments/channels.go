@@ -32,38 +32,38 @@ const pdrLossBudget = 0.03
 // Gauss–Markov and group mobility models, and each cell's PDR gap is
 // checked against the paper's ≤3% loss budget.
 func (s *Suite) AblationChannels() ([]ChannelResult, error) {
-	channels := scenario.ChannelNames()
-	mobilities := scenario.MobilityNames()
-	var cfgs []scenario.Config
-	for _, ch := range channels {
-		for _, mob := range mobilities {
-			for _, sch := range channelSchemes {
-				cfg := s.config(runKey{scheme: sch, rate: s.p.LowRate})
+	return generate(s, (*Suite).channelCells, (*Suite).channels)
+}
+
+// channelCells are channel × mobility × scheme.
+func (s *Suite) channelCells() []scenario.Config {
+	var cells []scenario.Config
+	for _, ch := range scenario.ChannelNames() {
+		for _, mob := range scenario.MobilityNames() {
+			for _, cfg := range s.schemeCells(channelSchemes, s.p.LowRate, false) {
 				cfg.Channel = ch
 				cfg.Mobility = mob
 				if ch == "shadowing" {
 					cfg.ShadowSigmaDB = 4
 				}
-				cfgs = append(cfgs, cfg)
+				cells = append(cells, cfg)
 			}
 		}
 	}
-	aggs, err := s.runConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+func (s *Suite) channels(aggs []*scenario.Aggregate) []ChannelResult {
 	s.printf("== Ablation A9: channel x mobility (rate=%.1f, mobile, Rcast vs unconditional PSM) ==\n", s.p.LowRate)
 	s.printf("%-10s %-12s %-8s %8s %10s %9s %10s %8s\n",
 		"channel", "mobility", "scheme", "PDR", "energy(J)", "delay(s)", "chanLost", "dPDR")
 	var rows []ChannelResult
 	worst := 0.0
-	cell := 0
-	for _, ch := range channels {
-		for _, mob := range mobilities {
+	for _, ch := range scenario.ChannelNames() {
+		for _, mob := range scenario.MobilityNames() {
 			var psmPDR float64
 			for _, sch := range channelSchemes {
-				a := aggs[cell]
-				cell++
+				a := aggs[len(rows)]
 				var chanLost float64
 				for _, r := range a.Results {
 					chanLost += float64(r.Channel.ChannelLost)
@@ -101,5 +101,5 @@ func (s *Suite) AblationChannels() ([]ChannelResult, error) {
 	}
 	s.printf("worst Rcast PDR loss vs PSM: %.3f (budget %.2f) — claim %s under channel randomness\n\n",
 		worst, pdrLossBudget, verdict)
-	return rows, nil
+	return rows
 }

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // WriteSweepCSV exports the Figs. 6–8 rate sweep as CSV for external
 // plotting: one row per (pause, rate, scheme) with every sweep metric.
 func (s *Suite) WriteSweepCSV(w io.Writer) error {
-	points, err := s.sweep()
+	points, err := generate(s, (*Suite).sweepCells, (*Suite).sweepPoints)
 	if err != nil {
 		return err
 	}
@@ -51,7 +52,7 @@ func (s *Suite) WriteSweepCSV(w io.Writer) error {
 // paper plots all 100 nodes; the text report shows percentiles only).
 // One row per (pause, rate, scheme, node_rank).
 func (s *Suite) WriteFig5CSV(w io.Writer) error {
-	panels, err := s.Fig5()
+	panels, err := generate(s, (*Suite).fig5Cells, (*Suite).fig5Panels)
 	if err != nil {
 		return err
 	}
@@ -87,26 +88,18 @@ func (s *Suite) WriteFig5CSV(w io.Writer) error {
 // WriteFig9CSV exports the per-node (role number, energy) scatter points
 // behind Fig. 9. One row per (rate, scheme, node).
 func (s *Suite) WriteFig9CSV(w io.Writer) error {
-	var keys []runKey
-	for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
-		for _, sch := range figureSchemes {
-			keys = append(keys, runKey{scheme: sch, rate: rate})
-		}
-	}
-	if err := s.prefetch(keys...); err != nil {
+	aggs, err := s.aggregates(s.fig9Cells())
+	if err != nil {
 		return err
 	}
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"rate", "scheme", "node", "role_number", "joules"}); err != nil {
 		return err
 	}
-	for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
+	for _, rate := range s.cornerRates() {
 		for _, sch := range figureSchemes {
-			a, err := s.agg(runKey{scheme: sch, rate: rate})
-			if err != nil {
-				return err
-			}
-			r := a.Results[0]
+			r := aggs[0].Results[0]
+			aggs = aggs[1:]
 			for node := range r.RoleNumbers {
 				row := []string{
 					strconv.FormatFloat(rate, 'f', 1, 64),
@@ -134,25 +127,14 @@ func (s *Suite) WriteFig9CSV(w io.Writer) error {
 // SummaryLine returns a one-line digest of the headline comparison at the
 // low-rate mobile point, used by tooling banners.
 func (s *Suite) SummaryLine() (string, error) {
-	keys := make([]runKey, len(figureSchemes))
-	for i, sch := range figureSchemes {
-		keys[i] = runKey{scheme: sch, rate: s.p.LowRate}
-	}
-	if err := s.prefetch(keys...); err != nil {
+	aggs, err := s.aggregates(s.table1Cells())
+	if err != nil {
 		return "", err
 	}
 	var parts []string
-	for _, sch := range figureSchemes {
-		a, err := s.agg(runKey{scheme: sch, rate: s.p.LowRate})
-		if err != nil {
-			return "", err
-		}
+	for i, sch := range figureSchemes {
 		parts = append(parts, fmt.Sprintf("%s %.0fJ/%.1f%%",
-			sch, a.TotalJoules.Mean(), 100*a.PDR.Mean()))
+			sch, aggs[i].TotalJoules.Mean(), 100*aggs[i].PDR.Mean()))
 	}
-	line := parts[0]
-	for _, p := range parts[1:] {
-		line += "  " + p
-	}
-	return line, nil
+	return strings.Join(parts, "  "), nil
 }

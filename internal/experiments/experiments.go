@@ -1,17 +1,22 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§4), plus the ablations DESIGN.md calls out. Each
-// generator prints the same rows/series the paper reports and returns the
-// underlying data for programmatic checks.
+// experiment declares its simulation cells as plain scenario.Configs and a
+// report that reads their aggregates in cell order, prints the same
+// rows/series the paper reports, and returns the underlying data for
+// programmatic checks.
 //
-// Runs are cached per (scheme, rate, pause, gossip) so the figure
-// generators share simulations: Figs. 6, 7 and 8 all derive from one rate
-// sweep, and Figs. 5 and 9 reuse its corner points.
+// A suite resolves every cell through one cache keyed by the cell's
+// canonical key, so experiments share simulations: Figs. 6, 7 and 8 all
+// derive from one rate sweep, Figs. 5 and 9 reuse its corner points, and
+// each ablation's baseline row is a figure's cell.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"rcast/internal/fault"
 	"rcast/internal/scenario"
@@ -85,21 +90,13 @@ var figureSchemes = []scenario.Scheme{
 	scenario.SchemeRcast,
 }
 
-// runKey identifies a cached simulation batch.
-type runKey struct {
-	scheme scenario.Scheme
-	rate   float64
-	static bool
-	gossip bool
-}
-
 // Suite runs and caches the simulations behind all generators. Simulation
 // cells fan out through scenario.RunBatch; the reports and series a suite
 // produces are byte-identical for every worker count.
 type Suite struct {
 	p         Profile
 	out       io.Writer
-	cache     map[runKey]*scenario.Aggregate
+	cache     map[string]*scenario.Aggregate // by Config.CanonicalKey(p.Reps)
 	workers   int
 	audit     bool
 	faults    *fault.Plan
@@ -114,7 +111,7 @@ func NewSuite(p Profile, out io.Writer) *Suite {
 	if out == nil {
 		out = io.Discard
 	}
-	return &Suite{p: p, out: out, cache: make(map[runKey]*scenario.Aggregate)}
+	return &Suite{p: p, out: out, cache: make(map[string]*scenario.Aggregate)}
 }
 
 // SetWorkers bounds the concurrency of the suite's simulation runs:
@@ -135,7 +132,7 @@ func (s *Suite) SetAudit(on bool) { s.audit = on }
 // cleared; call SetFaults before running any generator.
 func (s *Suite) SetFaults(plan *fault.Plan) {
 	s.faults = plan
-	s.cache = make(map[runKey]*scenario.Aggregate)
+	s.cache = make(map[string]*scenario.Aggregate)
 }
 
 // SetTrace installs a packet-lifecycle trace sink (scenario.Config.Trace)
@@ -146,7 +143,7 @@ func (s *Suite) SetFaults(plan *fault.Plan) {
 // any generator.
 func (s *Suite) SetTrace(sink trace.Sink) {
 	s.traceSink = sink
-	s.cache = make(map[runKey]*scenario.Aggregate)
+	s.cache = make(map[string]*scenario.Aggregate)
 }
 
 // SetContext installs a cancellation context for the suite's simulation
@@ -154,18 +151,19 @@ func (s *Suite) SetTrace(sink trace.Sink) {
 // generator return its error.
 func (s *Suite) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// Runs returns how many distinct simulation batches have been executed.
+// Runs returns how many distinct simulation batches (cells) have been
+// executed.
 func (s *Suite) Runs() int { return len(s.cache) }
 
-// SimRuns returns how many individual simulations have completed (each
-// replication of each batch counts once, ablation batches included).
+// SimRuns returns how many individual simulations have completed: each
+// replication of each distinct cell counts once.
 func (s *Suite) SimRuns() int64 { return s.simRuns }
 
 // Workers reports how many workers the suite's batches run on: the
 // SetWorkers count resolved by scenario.BatchWorkers, so a trace sink
 // reports 1.
 func (s *Suite) Workers() int {
-	return scenario.BatchWorkers([]scenario.Batch{{Cfg: s.config(runKey{})}}, s.workers)
+	return scenario.BatchWorkers([]scenario.Batch{{Cfg: scenario.Config{Trace: s.traceSink}}}, s.workers)
 }
 
 func (s *Suite) context() context.Context {
@@ -175,94 +173,162 @@ func (s *Suite) context() context.Context {
 	return context.Background()
 }
 
-func (s *Suite) config(k runKey) scenario.Config {
+// cell returns the suite's configuration for one figure point: the
+// profile's scale plus the suite's fault plan and audit flag. It carries
+// no trace sink, so it has a canonical key; experiments vary it further.
+func (s *Suite) cell(sch scenario.Scheme, rate float64, static bool) scenario.Config {
 	cfg := scenario.PaperDefaults()
-	cfg.Scheme = k.scheme
+	cfg.Scheme = sch
 	cfg.Nodes = s.p.Nodes
 	cfg.FieldW = s.p.FieldW
 	cfg.FieldH = s.p.FieldH
 	cfg.Connections = s.p.Connections
 	cfg.Duration = s.p.Duration
-	cfg.PacketRate = k.rate
+	cfg.PacketRate = rate
 	cfg.Seed = s.p.BaseSeed
-	if k.static {
+	if static {
 		cfg.Pause = s.p.Duration
 	} else {
 		cfg.Pause = s.p.PauseMobile
 	}
-	if k.gossip {
-		cfg.GossipFanout = 3
-	}
 	cfg.Audit = s.audit
 	cfg.Faults = s.faults
-	cfg.Trace = s.traceSink
 	return cfg
 }
 
-// agg returns the cached aggregate for a key, running it on first use.
-func (s *Suite) agg(k runKey) (*scenario.Aggregate, error) {
-	if a, ok := s.cache[k]; ok {
-		return a, nil
+// schemeCells returns one cell per scheme at the same operating point.
+func (s *Suite) schemeCells(schemes []scenario.Scheme, rate float64, static bool) []scenario.Config {
+	cells := make([]scenario.Config, len(schemes))
+	for i, sch := range schemes {
+		cells[i] = s.cell(sch, rate, static)
 	}
-	if err := s.prefetch(k); err != nil {
-		return nil, fmt.Errorf("experiments: %v rate=%.1f static=%v: %w",
-			k.scheme, k.rate, k.static, err)
-	}
-	return s.cache[k], nil
+	return cells
 }
 
-// prefetch simulates every not-yet-cached key of the batch across the
-// worker pool, so one figure's independent cells run concurrently instead
-// of one by one. Generators call it with their full key set before reading
-// any aggregate; printing then happens from the cache in deterministic
-// order, keeping output byte-identical for every worker count.
-func (s *Suite) prefetch(keys ...runKey) error {
-	var missing []runKey
-	seen := make(map[runKey]bool, len(keys))
-	for _, k := range keys {
-		if _, ok := s.cache[k]; ok || seen[k] {
+// cornerRates are the low and high packet rates of Figs. 5 and 9.
+func (s *Suite) cornerRates() []float64 { return []float64{s.p.LowRate, s.p.HighRate} }
+
+// aggregates resolves cells to their aggregates, in cell order, through
+// the suite cache keyed by Config.CanonicalKey(Reps). Keys are taken
+// before the suite's trace sink is attached; a cell without one is an
+// error. Every missing cell runs once, in first-occurrence order, in one
+// scenario.RunBatch, and its replications are counted once it succeeds.
+func (s *Suite) aggregates(cells []scenario.Config) ([]*scenario.Aggregate, error) {
+	keys := make([]string, len(cells))
+	var missing []scenario.Batch
+	var missingKeys []string
+	for i, cfg := range cells {
+		k, err := cfg.CanonicalKey(s.p.Reps)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: cell %d: %w", i, err)
+		}
+		keys[i] = k
+		if _, ok := s.cache[k]; ok || slices.Contains(missingKeys, k) {
 			continue
 		}
-		seen[k] = true
-		missing = append(missing, k)
+		cfg.Trace = s.traceSink
+		missing = append(missing, scenario.Batch{Cfg: cfg, Reps: s.p.Reps})
+		missingKeys = append(missingKeys, k)
 	}
-	if len(missing) == 0 {
-		return nil
+	if len(missing) > 0 {
+		aggs, err := scenario.RunBatch(s.context(), missing, s.workers)
+		if err != nil {
+			return nil, err
+		}
+		for i, k := range missingKeys {
+			s.cache[k] = aggs[i]
+		}
+		s.simRuns += int64(len(missing) * max(s.p.Reps, 1))
 	}
-	cfgs := make([]scenario.Config, len(missing))
-	for i, k := range missing {
-		cfgs[i] = s.config(k)
+	out := make([]*scenario.Aggregate, len(cells))
+	for i, k := range keys {
+		out[i] = s.cache[k]
 	}
-	aggs, err := s.runConfigs(cfgs)
+	return out, nil
+}
+
+// generate resolves one experiment's cells and hands their aggregates to
+// its report.
+func generate[T any](s *Suite, cells func(*Suite) []scenario.Config, report func(*Suite, []*scenario.Aggregate) T) (T, error) {
+	aggs, err := s.aggregates(cells(s))
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return report(s, aggs), nil
+}
+
+// experiment is one registered table or figure: the cells it reads and
+// the report that prints their aggregates.
+type experiment struct {
+	name   string
+	cells  func(*Suite) []scenario.Config
+	report func(*Suite, []*scenario.Aggregate)
+}
+
+func entry[T any](name string, cells func(*Suite) []scenario.Config, report func(*Suite, []*scenario.Aggregate) T) experiment {
+	return experiment{name: name, cells: cells, report: func(s *Suite, aggs []*scenario.Aggregate) { report(s, aggs) }}
+}
+
+// registry lists every experiment in report order. All, Run and
+// rcast-bench's -only flag all read it.
+var registry = []experiment{
+	entry("table1", (*Suite).table1Cells, (*Suite).table1),
+	entry("fig5", (*Suite).fig5Cells, (*Suite).fig5),
+	entry("fig6", (*Suite).sweepCells, (*Suite).fig6),
+	entry("fig7", (*Suite).sweepCells, (*Suite).fig7),
+	entry("fig8", (*Suite).sweepCells, (*Suite).fig8),
+	entry("fig9", (*Suite).fig9Cells, (*Suite).fig9),
+	entry("a1", (*Suite).policyCells, (*Suite).policies),
+	entry("a2", (*Suite).levelCells, (*Suite).levels),
+	entry("a3", (*Suite).gossipCells, (*Suite).gossip),
+	entry("a4", (*Suite).cacheCells, (*Suite).cacheStrategies),
+	entry("a5", (*Suite).lifetimeCells, (*Suite).lifetime),
+	entry("a6", (*Suite).routingCells, (*Suite).routing),
+	entry("a7", (*Suite).atimCells, (*Suite).atim),
+	entry("a8", (*Suite).faultCells, (*Suite).faultsReport),
+	entry("a9", (*Suite).channelCells, (*Suite).channels),
+	entry("a10", (*Suite).txPowerCells, (*Suite).txPower),
+}
+
+// Names lists the registered experiments in report order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}
+
+// Run reports the named experiments in the order given. The union of
+// their cells is resolved first, in one batch, so the worker pool sees
+// the whole selection's parallelism and every report prints from the
+// cache.
+func (s *Suite) Run(names ...string) error {
+	exps := make([]experiment, len(names))
+	cells := make([][]scenario.Config, len(names))
+	var all []scenario.Config
+	for i, name := range names {
+		j := slices.IndexFunc(registry, func(e experiment) bool { return e.name == name })
+		if j < 0 {
+			return fmt.Errorf("experiments: unknown figure %q (want one of %s)", name, strings.Join(Names(), ","))
+		}
+		exps[i], cells[i] = registry[j], registry[j].cells(s)
+		all = append(all, cells[i]...)
+	}
+	aggs, err := s.aggregates(all)
 	if err != nil {
 		return err
 	}
-	for i, k := range missing {
-		s.cache[k] = aggs[i]
+	for i, e := range exps {
+		e.report(s, aggs[:len(cells[i])])
+		aggs = aggs[len(cells[i]):]
 	}
 	return nil
 }
 
-// runConfigs runs one replication batch per config through
-// scenario.RunBatch and returns aggregates in input order, counting the
-// batch's runs once it succeeds. The ablations call it directly, since
-// their configs carry knobs outside the runKey cache.
-func (s *Suite) runConfigs(cfgs []scenario.Config) ([]*scenario.Aggregate, error) {
-	batches := make([]scenario.Batch, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.Audit = cfg.Audit || s.audit
-		if cfg.Trace == nil {
-			cfg.Trace = s.traceSink
-		}
-		batches[i] = scenario.Batch{Cfg: cfg, Reps: s.p.Reps}
-	}
-	aggs, err := scenario.RunBatch(s.context(), batches, s.workers)
-	if err != nil {
-		return nil, err
-	}
-	s.simRuns += int64(len(cfgs) * max(s.p.Reps, 1))
-	return aggs, nil
-}
+// All regenerates every table and figure in order.
+func (s *Suite) All() error { return s.Run(Names()...) }
 
 func (s *Suite) printf(format string, args ...any) {
 	fmt.Fprintf(s.out, format, args...)
@@ -273,57 +339,4 @@ func pauseLabel(static bool) string {
 		return "Tpause=static"
 	}
 	return "Tpause=mobile"
-}
-
-// sweepKeys returns every cell of the Figs. 6–8 rate sweep (which also
-// covers Table 1, Fig. 5 and Fig. 9, whose corner rates are in the sweep).
-func (s *Suite) sweepKeys() []runKey {
-	var keys []runKey
-	for _, static := range []bool{false, true} {
-		for _, rate := range s.p.Rates {
-			for _, sch := range figureSchemes {
-				keys = append(keys, runKey{scheme: sch, rate: rate, static: static})
-			}
-		}
-	}
-	return keys
-}
-
-// All regenerates every table and figure in order.
-func (s *Suite) All() error {
-	// Fan out every cacheable cell of every figure at once, so the worker
-	// pool sees the whole suite's parallelism instead of one figure's.
-	keys := s.sweepKeys()
-	keys = append(keys,
-		runKey{scheme: scenario.SchemePSMNoOverhear, rate: s.p.LowRate},
-		runKey{scheme: scenario.SchemePSM, rate: s.p.LowRate},
-		runKey{scheme: scenario.SchemeRcast, rate: s.p.HighRate, gossip: true},
-	)
-	if err := s.prefetch(keys...); err != nil {
-		return err
-	}
-	steps := []func() error{
-		func() error { _, err := s.Table1(); return err },
-		func() error { _, err := s.Fig5(); return err },
-		func() error { _, err := s.Fig6(); return err },
-		func() error { _, err := s.Fig7(); return err },
-		func() error { _, err := s.Fig8(); return err },
-		func() error { _, err := s.Fig9(); return err },
-		func() error { _, err := s.AblationPolicies(); return err },
-		func() error { _, err := s.AblationLevels(); return err },
-		func() error { _, err := s.AblationGossip(); return err },
-		func() error { _, err := s.AblationCacheStrategies(); return err },
-		func() error { _, err := s.AblationLifetime(); return err },
-		func() error { _, err := s.AblationRouting(); return err },
-		func() error { _, err := s.AblationATIM(); return err },
-		func() error { _, err := s.AblationFaults(); return err },
-		func() error { _, err := s.AblationChannels(); return err },
-		func() error { _, err := s.AblationTxPower(); return err },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

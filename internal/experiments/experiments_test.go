@@ -125,13 +125,18 @@ func TestFig7EnergyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := make(map[runKey]SweepPoint)
+	type key struct {
+		scheme scenario.Scheme
+		rate   float64
+		static bool
+	}
+	byKey := make(map[key]SweepPoint)
 	for _, p := range points {
-		byKey[runKey{scheme: p.Scheme, rate: p.Rate, static: p.Static}] = p
+		byKey[key{p.Scheme, p.Rate, p.Static}] = p
 	}
 	for _, rate := range tiny().Rates {
-		ao := byKey[runKey{scheme: scenario.SchemeAlwaysOn, rate: rate}]
-		rc := byKey[runKey{scheme: scenario.SchemeRcast, rate: rate}]
+		ao := byKey[key{scenario.SchemeAlwaysOn, rate, false}]
+		rc := byKey[key{scenario.SchemeRcast, rate, false}]
 		if rc.TotalJoules >= ao.TotalJoules {
 			t.Fatalf("rate %.1f: Rcast energy %.0f not below 802.11 %.0f",
 				rate, rc.TotalJoules, ao.TotalJoules)
@@ -354,12 +359,14 @@ func TestAblationFaults(t *testing.T) {
 
 func TestSetFaultsAppliesToSuiteRuns(t *testing.T) {
 	s := NewSuite(tiny(), nil)
-	k := runKey{scheme: scenario.SchemeRcast, rate: tiny().LowRate}
-	clean, err := s.agg(k)
+	cell := func() []scenario.Config {
+		return []scenario.Config{s.cell(scenario.SchemeRcast, tiny().LowRate, false)}
+	}
+	clean, err := s.aggregates(cell())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Results[0].NodeCrashes != 0 {
+	if clean[0].Results[0].NodeCrashes != 0 {
 		t.Fatal("unfaulted suite run recorded crashes")
 	}
 	plan, err := fault.Preset("crash")
@@ -370,11 +377,11 @@ func TestSetFaultsAppliesToSuiteRuns(t *testing.T) {
 	if s.Runs() != 0 {
 		t.Fatal("SetFaults did not clear the run cache")
 	}
-	faulted, err := s.agg(k)
+	faulted, err := s.aggregates(cell())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulted.Results[0].NodeCrashes == 0 {
+	if faulted[0].Results[0].NodeCrashes == 0 {
 		t.Fatal("SetFaults plan did not reach the suite's simulations")
 	}
 }
@@ -393,6 +400,45 @@ func TestAllRunsEverything(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("report missing %q", want)
 		}
+	}
+}
+
+// TestAllSimulatesEachCellOnce checks the suite's single run path: after
+// All, every distinct canonical cell across the registry has run exactly
+// once, and no cell ran twice.
+func TestAllSimulatesEachCellOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
+	s := NewSuite(tiny(), nil)
+	if err := s.All(); err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]bool)
+	for _, e := range registry {
+		for _, cfg := range e.cells(s) {
+			k, err := cfg.CanonicalKey(tiny().Reps)
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			keys[k] = true
+		}
+	}
+	if s.Runs() != len(keys) {
+		t.Fatalf("Runs() = %d, want %d distinct cells", s.Runs(), len(keys))
+	}
+	if want := int64(len(keys) * tiny().Reps); s.SimRuns() != want {
+		t.Fatalf("SimRuns() = %d, want %d", s.SimRuns(), want)
+	}
+}
+
+func TestRunRejectsUnknownName(t *testing.T) {
+	s := NewSuite(tiny(), nil)
+	if err := s.Run("table1", "fig99"); err == nil {
+		t.Fatal("accepted unknown experiment")
+	}
+	if s.SimRuns() != 0 {
+		t.Fatalf("unknown name still ran %d simulations", s.SimRuns())
 	}
 }
 

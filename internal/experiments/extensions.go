@@ -17,42 +17,47 @@ type CacheResult struct {
 	AvgDelaySec float64
 }
 
+var cacheVariants = []CacheResult{
+	{Label: "default (64, no timeout)", Capacity: 64},
+	{Label: "small cache (8)", Capacity: 8},
+	{Label: "timeout 30s", Capacity: 64, Lifetime: 30 * sim.Second},
+	{Label: "timeout 5s", Capacity: 64, Lifetime: 5 * sim.Second},
+}
+
 // AblationCacheStrategies probes the open question the paper poses in its
 // contributions list: do conventional DSR route-caching strategies still
 // work when overhearing is limited by Rcast? It sweeps cache capacity and
 // the Hu & Johnson cache-timeout mechanism on the Rcast stack.
 func (s *Suite) AblationCacheStrategies() ([]CacheResult, error) {
-	variants := []CacheResult{
-		{Label: "default (64, no timeout)", Capacity: 64},
-		{Label: "small cache (8)", Capacity: 8},
-		{Label: "timeout 30s", Capacity: 64, Lifetime: 30 * sim.Second},
-		{Label: "timeout 5s", Capacity: 64, Lifetime: 5 * sim.Second},
+	return generate(s, (*Suite).cacheCells, (*Suite).cacheStrategies)
+}
+
+func (s *Suite) cacheCells() []scenario.Config {
+	cells := make([]scenario.Config, len(cacheVariants))
+	for i, v := range cacheVariants {
+		cells[i] = s.cell(scenario.SchemeRcast, s.p.LowRate, false)
+		cells[i].DSR.CacheCapacity = v.Capacity
+		cells[i].DSR.CacheLifetime = v.Lifetime
 	}
-	cfgs := make([]scenario.Config, len(variants))
-	for i, v := range variants {
-		cfgs[i] = s.config(runKey{scheme: scenario.SchemeRcast, rate: s.p.LowRate})
-		cfgs[i].DSR.CacheCapacity = v.Capacity
-		cfgs[i].DSR.CacheLifetime = v.Lifetime
-	}
-	aggs, err := s.runConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+func (s *Suite) cacheStrategies(aggs []*scenario.Aggregate) []CacheResult {
 	s.printf("== Ablation A4: DSR cache strategies under Rcast (rate=%.1f, mobile) ==\n", s.p.LowRate)
 	s.printf("%-24s %8s %9s %10s %9s\n", "variant", "PDR", "overhead", "energy(J)", "delay(s)")
-	var rows []CacheResult
-	for i, v := range variants {
+	rows := make([]CacheResult, len(cacheVariants))
+	for i, v := range cacheVariants {
 		a := aggs[i]
 		v.PDR = a.PDR.Mean()
 		v.Overhead = a.NormalizedOverhead.Mean()
 		v.TotalJoules = a.TotalJoules.Mean()
 		v.AvgDelaySec = a.AvgDelaySec.Mean()
-		rows = append(rows, v)
+		rows[i] = v
 		s.printf("%-24s %8.3f %9.2f %10.0f %9.3f\n",
 			v.Label, v.PDR, v.Overhead, v.TotalJoules, v.AvgDelaySec)
 	}
 	s.printf("\n")
-	return rows, nil
+	return rows
 }
 
 // LifetimeResult is one row of the network-lifetime experiment.
@@ -67,21 +72,25 @@ type LifetimeResult struct {
 // an always-awake node dies mid-run, and reports when nodes start dying —
 // the device/network-lifetime motivation of the paper's introduction.
 func (s *Suite) AblationLifetime() ([]LifetimeResult, error) {
-	// Budget: an always-awake node drains in 60% of the run.
-	battery := 1.15 * s.p.Duration.Seconds() * 0.6
-	cfgs := make([]scenario.Config, len(figureSchemes))
-	for i, sch := range figureSchemes {
-		cfgs[i] = s.config(runKey{scheme: sch, rate: s.p.LowRate})
-		cfgs[i].BatteryJoules = battery
+	return generate(s, (*Suite).lifetimeCells, (*Suite).lifetime)
+}
+
+// battery is the A5 budget: an always-awake node drains in 60% of the run.
+func (s *Suite) battery() float64 { return 1.15 * s.p.Duration.Seconds() * 0.6 }
+
+func (s *Suite) lifetimeCells() []scenario.Config {
+	cells := s.schemeCells(figureSchemes, s.p.LowRate, false)
+	for i := range cells {
+		cells[i].BatteryJoules = s.battery()
 	}
-	aggs, err := s.runConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+func (s *Suite) lifetime(aggs []*scenario.Aggregate) []LifetimeResult {
 	s.printf("== Ablation A5: network lifetime with %.0f J batteries (rate=%.1f, mobile) ==\n",
-		battery, s.p.LowRate)
+		s.battery(), s.p.LowRate)
 	s.printf("%-8s %14s %10s %8s\n", "scheme", "firstDeath(s)", "deadNodes", "PDR")
-	var rows []LifetimeResult
+	rows := make([]LifetimeResult, len(figureSchemes))
 	for i, sch := range figureSchemes {
 		a := aggs[i]
 		var first float64
@@ -96,11 +105,11 @@ func (s *Suite) AblationLifetime() ([]LifetimeResult, error) {
 			DeadNodes:     dead / len(a.Results),
 			PDR:           a.PDR.Mean(),
 		}
-		rows = append(rows, row)
+		rows[i] = row
 		s.printf("%-8s %14.0f %10d %8.3f\n", sch, row.FirstDeathSec, row.DeadNodes, row.PDR)
 	}
 	s.printf("\n")
-	return rows, nil
+	return rows
 }
 
 // ATIMResult is one row of the ATIM-reliability sensitivity study.
@@ -121,33 +130,30 @@ type ATIMResult struct {
 // fail to deliver ATIM frames … the actual performance would be better
 // than the one reported in this paper").
 func (s *Suite) AblationATIM() ([]ATIMResult, error) {
-	type atimCell struct {
-		rate       float64
-		contention bool
-	}
-	var cells []atimCell
-	for _, rate := range []float64{s.p.LowRate, s.p.HighRate} {
+	return generate(s, (*Suite).atimCells, (*Suite).atim)
+}
+
+// atimCells are corner rate × (reliable, contention) on the Rcast stack.
+func (s *Suite) atimCells() []scenario.Config {
+	var cells []scenario.Config
+	for _, rate := range s.cornerRates() {
 		for _, contention := range []bool{false, true} {
-			cells = append(cells, atimCell{rate: rate, contention: contention})
+			cfg := s.cell(scenario.SchemeRcast, rate, false)
+			cfg.MAC.ATIMContention = contention
+			cells = append(cells, cfg)
 		}
 	}
-	cfgs := make([]scenario.Config, len(cells))
-	for i, c := range cells {
-		cfgs[i] = s.config(runKey{scheme: scenario.SchemeRcast, rate: c.rate})
-		cfgs[i].MAC.ATIMContention = c.contention
-	}
-	aggs, err := s.runConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+func (s *Suite) atim(aggs []*scenario.Aggregate) []ATIMResult {
 	s.printf("== Ablation A7: ATIM reliability assumption (Rcast stack, mobile) ==\n")
 	s.printf("%-12s %-6s %8s %9s %10s %10s\n",
 		"atim", "rate", "PDR", "delay(s)", "energy(J)", "atimFail")
 	var rows []ATIMResult
-	for i, c := range cells {
-		{
-			rate, contention := c.rate, c.contention
-			a := aggs[i]
+	for _, rate := range s.cornerRates() {
+		for _, contention := range []bool{false, true} {
+			a := aggs[len(rows)]
 			var fails float64
 			for _, r := range a.Results {
 				fails += float64(r.MACTotal.AtimFailures)
@@ -170,7 +176,7 @@ func (s *Suite) AblationATIM() ([]ATIMResult, error) {
 		}
 	}
 	s.printf("\n")
-	return rows, nil
+	return rows
 }
 
 // RoutingResult is one row of the DSR-vs-AODV comparison.
@@ -185,45 +191,48 @@ type RoutingResult struct {
 	HelloTx     float64 // mean hello transmissions per replication
 }
 
+var routingVariants = []struct {
+	label   string
+	routing scenario.Routing
+	hello   bool
+}{
+	{label: "DSR", routing: scenario.RoutingDSR},
+	{label: "AODV (no hello)", routing: scenario.RoutingAODV},
+	{label: "AODV (hello 1s)", routing: scenario.RoutingAODV, hello: true},
+}
+
+var routingSchemes = []scenario.Scheme{scenario.SchemeAlwaysOn, scenario.SchemeRcast}
+
 // AblationRouting reproduces the paper's §1 contrast between DSR and AODV
 // (experiment A6): AODV's timeout-driven tables re-flood aggressively
 // (Das et al.: ~90% of its overhead is RREQ) and its periodic hellos are
 // hostile to PSM. Compared on the always-on and Rcast stacks.
 func (s *Suite) AblationRouting() ([]RoutingResult, error) {
-	s.printf("== Ablation A6: DSR vs AODV (rate=%.1f, mobile) ==\n", s.p.LowRate)
-	s.printf("%-18s %-8s %8s %9s %10s %9s %9s\n",
-		"routing", "scheme", "PDR", "overhead", "energy(J)", "rreq%", "hello")
-	variants := []struct {
-		label   string
-		routing scenario.Routing
-		hello   bool
-	}{
-		{label: "DSR", routing: scenario.RoutingDSR},
-		{label: "AODV (no hello)", routing: scenario.RoutingAODV},
-		{label: "AODV (hello 1s)", routing: scenario.RoutingAODV, hello: true},
-	}
-	routingSchemes := []scenario.Scheme{scenario.SchemeAlwaysOn, scenario.SchemeRcast}
-	var cfgs []scenario.Config
-	for _, v := range variants {
-		for _, sch := range routingSchemes {
-			cfg := s.config(runKey{scheme: sch, rate: s.p.LowRate})
+	return generate(s, (*Suite).routingCells, (*Suite).routing)
+}
+
+func (s *Suite) routingCells() []scenario.Config {
+	var cells []scenario.Config
+	for _, v := range routingVariants {
+		for _, cfg := range s.schemeCells(routingSchemes, s.p.LowRate, false) {
 			cfg.Routing = v.routing
 			if v.routing == scenario.RoutingAODV && !v.hello {
 				cfg.AODV.HelloInterval = 0
 			}
-			cfgs = append(cfgs, cfg)
+			cells = append(cells, cfg)
 		}
 	}
-	aggs, err := s.runConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+func (s *Suite) routing(aggs []*scenario.Aggregate) []RoutingResult {
+	s.printf("== Ablation A6: DSR vs AODV (rate=%.1f, mobile) ==\n", s.p.LowRate)
+	s.printf("%-18s %-8s %8s %9s %10s %9s %9s\n",
+		"routing", "scheme", "PDR", "overhead", "energy(J)", "rreq%", "hello")
 	var rows []RoutingResult
-	cellIdx := 0
-	for _, v := range variants {
+	for _, v := range routingVariants {
 		for _, sch := range routingSchemes {
-			a := aggs[cellIdx]
-			cellIdx++
+			a := aggs[len(rows)]
 			var rreq, ctl, hello float64
 			for _, r := range a.Results {
 				rreq += float64(r.ControlByClass[core.ClassRREQ])
@@ -249,5 +258,5 @@ func (s *Suite) AblationRouting() ([]RoutingResult, error) {
 		}
 	}
 	s.printf("\n")
-	return rows, nil
+	return rows
 }

@@ -17,35 +17,42 @@ type FaultResult struct {
 	FaultLost   float64 // mean frames vanished by the burst-loss channel
 }
 
+type faultVariant struct {
+	label string
+	plan  *fault.Plan
+}
+
 // faultVariants returns the A8 grid: each fault class alone, then crashes
 // and burst loss together. Plans derive from the shared presets so the
 // table tracks the CLI's -faults vocabulary.
-func faultVariants() ([]struct {
-	label string
-	plan  *fault.Plan
-}, error) {
-	crash, err := fault.Preset("crash")
-	if err != nil {
-		return nil, err
-	}
-	loss, err := fault.Preset("loss")
-	if err != nil {
-		return nil, err
-	}
+func faultVariants() []faultVariant {
+	crash, loss := preset("crash"), preset("loss")
 	both := &fault.Plan{
 		CrashFraction: crash.CrashFraction,
 		Downtime:      crash.Downtime,
 		Loss:          loss.Loss,
 	}
-	return []struct {
-		label string
-		plan  *fault.Plan
-	}{
+	return []faultVariant{
 		{label: "none", plan: nil},
 		{label: "crash", plan: crash},
 		{label: "burst-loss", plan: loss},
 		{label: "crash+loss", plan: both},
-	}, nil
+	}
+}
+
+// preset resolves a built-in fault preset. The names are fixed in this
+// package, so a missing one is a programming error.
+func preset(name string) *fault.Plan {
+	plan, err := fault.Preset(name)
+	if err != nil {
+		panic(err)
+	}
+	return plan
+}
+
+var faultSchemes = []scenario.Scheme{
+	scenario.SchemeAlwaysOn, scenario.SchemePSM,
+	scenario.SchemeODPM, scenario.SchemeRcast,
 }
 
 // AblationFaults stresses every scheme of the paper's figures (plus
@@ -55,35 +62,30 @@ func faultVariants() ([]struct {
 // Rcast's randomized overhearing degrade gracefully when the network
 // misbehaves, or does it amplify faults that plain PSM would absorb?
 func (s *Suite) AblationFaults() ([]FaultResult, error) {
-	variants, err := faultVariants()
-	if err != nil {
-		return nil, err
-	}
-	schemes := []scenario.Scheme{
-		scenario.SchemeAlwaysOn, scenario.SchemePSM,
-		scenario.SchemeODPM, scenario.SchemeRcast,
-	}
-	var cfgs []scenario.Config
-	for _, v := range variants {
-		for _, sch := range schemes {
-			cfg := s.config(runKey{scheme: sch, rate: s.p.LowRate})
+	return generate(s, (*Suite).faultCells, (*Suite).faultsReport)
+}
+
+// faultCells are fault variant × scheme; each variant's plan replaces the
+// suite's own.
+func (s *Suite) faultCells() []scenario.Config {
+	var cells []scenario.Config
+	for _, v := range faultVariants() {
+		for _, cfg := range s.schemeCells(faultSchemes, s.p.LowRate, false) {
 			cfg.Faults = v.plan
-			cfgs = append(cfgs, cfg)
+			cells = append(cells, cfg)
 		}
 	}
-	aggs, err := s.runConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+func (s *Suite) faultsReport(aggs []*scenario.Aggregate) []FaultResult {
 	s.printf("== Ablation A8: fault injection (rate=%.1f, mobile) ==\n", s.p.LowRate)
 	s.printf("%-12s %-8s %8s %10s %9s %9s %9s %10s\n",
 		"faults", "scheme", "PDR", "energy(J)", "delay(s)", "crashes", "flushed", "faultLost")
 	var rows []FaultResult
-	cell := 0
-	for _, v := range variants {
-		for _, sch := range schemes {
-			a := aggs[cell]
-			cell++
+	for _, v := range faultVariants() {
+		for _, sch := range faultSchemes {
+			a := aggs[len(rows)]
 			var crashes, flushed, faultLost float64
 			for _, r := range a.Results {
 				crashes += float64(r.NodeCrashes)
@@ -108,5 +110,5 @@ func (s *Suite) AblationFaults() ([]FaultResult, error) {
 		}
 	}
 	s.printf("\n")
-	return rows, nil
+	return rows
 }

@@ -45,30 +45,33 @@ var txPowerVariants = []txPowerVariant{
 // verdict compares the best reduced-power PSM cell against full-power
 // Rcast on delivered energy per bit.
 func (s *Suite) AblationTxPower() ([]TxPowerResult, error) {
-	var cfgs []scenario.Config
+	return generate(s, (*Suite).txPowerCells, (*Suite).txPower)
+}
+
+// txPowerCells are power level × variant.
+func (s *Suite) txPowerCells() []scenario.Config {
+	var cells []scenario.Config
 	for _, db := range txPowerDBs {
 		for _, v := range txPowerVariants {
-			cfg := s.config(runKey{scheme: v.scheme, rate: s.p.LowRate})
+			cfg := s.cell(v.scheme, s.p.LowRate, false)
 			cfg.TxPowerDBm = db
 			cfg.GossipFanout = v.gossip
-			cfgs = append(cfgs, cfg)
+			cells = append(cells, cfg)
 		}
 	}
-	aggs, err := s.runConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	return cells
+}
+
+func (s *Suite) txPower(aggs []*scenario.Aggregate) []TxPowerResult {
 	s.printf("== Ablation A10: tx power x broadcast strategy (rate=%.1f, mobile) ==\n", s.p.LowRate)
 	s.printf("%-8s %-14s %8s %10s %9s %12s\n",
 		"power", "variant", "PDR", "energy(J)", "delay(s)", "J/bit")
 	var rows []TxPowerResult
 	bestReducedPSM := 0.0 // lowest J/bit among reduced-power PSM cells
 	rcastNominal := 0.0   // full-power Rcast J/bit
-	cell := 0
 	for _, db := range txPowerDBs {
 		for _, v := range txPowerVariants {
-			a := aggs[cell]
-			cell++
+			a := aggs[len(rows)]
 			row := TxPowerResult{
 				TxPowerDBm:   db,
 				Variant:      v.name,
@@ -94,5 +97,5 @@ func (s *Suite) AblationTxPower() ([]TxPowerResult, error) {
 	}
 	s.printf("best reduced-power PSM %.3e J/bit vs full-power Rcast %.3e J/bit — %s\n\n",
 		bestReducedPSM, rcastNominal, verdict)
-	return rows, nil
+	return rows
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"rcast/internal/core"
 	"rcast/internal/fault"
@@ -83,22 +84,34 @@ type GridPoint struct {
 // Static reports whether the point pins pause to the simulation duration.
 func (p GridPoint) Static() bool { return p.HasPause && p.PauseSec < 0 }
 
+// MaxGridCells caps how many cells one Grid may expand into. Points
+// allocates every cell up front, so an unbounded product of a few long
+// axes would exhaust memory before a single cell runs.
+const MaxGridCells = 10000
+
 // Size returns the number of cells the grid expands into (0 when no
-// scheme is set).
+// scheme is set), saturating at math.MaxInt rather than overflowing.
 func (g Grid) Size() int {
 	n := len(g.Schemes)
 	for _, axis := range []int{len(g.Rates), len(g.PausesSec), len(g.FaultPresets), len(g.GossipFanouts), len(g.Channels), len(g.Mobilities), len(g.Policies), len(g.TxPowersDBm)} {
 		if axis > 0 {
+			if n > math.MaxInt/axis {
+				return math.MaxInt
+			}
 			n *= axis
 		}
 	}
 	return n
 }
 
-// validate rejects malformed axes before any expansion work.
+// validate rejects oversized grids and malformed axes before any
+// expansion work.
 func (g Grid) validate() error {
 	if len(g.Schemes) == 0 {
 		return fmt.Errorf("scenario: grid has no schemes")
+	}
+	if n := g.Size(); n > MaxGridCells {
+		return fmt.Errorf("scenario: grid expands to %d cells, over the %d-cell cap", n, MaxGridCells)
 	}
 	for _, s := range g.Schemes {
 		// Membership in the scheme registry, not an enum-span check: a

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 
 	"rcast/internal/sim"
@@ -240,5 +241,37 @@ func TestGridChannelMobilityAxes(t *testing.T) {
 		if _, err := bad.Points(); err == nil {
 			t.Fatalf("grid %+v accepted", bad)
 		}
+	}
+}
+
+// TestGridCellCap checks an oversized grid is refused before expansion:
+// four 60,000-entry axes overflow a plain product, so Size must saturate
+// and Points must return an error instead of panicking in make.
+func TestGridCellCap(t *testing.T) {
+	long := make([]float64, 60000)
+	for i := range long {
+		long[i] = float64(i + 1)
+	}
+	g := Grid{
+		Schemes:       []Scheme{SchemeRcast},
+		Rates:         long,
+		PausesSec:     long,
+		GossipFanouts: long,
+		TxPowersDBm:   long,
+	}
+	if got := g.Size(); got != math.MaxInt {
+		t.Fatalf("Size = %d, want saturated math.MaxInt", got)
+	}
+	if _, err := g.Points(); err == nil {
+		t.Fatal("Points accepted an overflowing grid")
+	}
+	// The cap itself: exactly MaxGridCells expands, one more does not.
+	g = Grid{Schemes: []Scheme{SchemeRcast}, Rates: long[:MaxGridCells]}
+	if pts, err := g.Points(); err != nil || len(pts) != MaxGridCells {
+		t.Fatalf("grid at the cap: %d points, err %v", len(pts), err)
+	}
+	g.Rates = long[:MaxGridCells+1]
+	if _, err := g.Points(); err == nil {
+		t.Fatal("Points accepted a grid one cell over the cap")
 	}
 }

@@ -473,3 +473,40 @@ func readAll(t *testing.T, resp *http.Response) string {
 	}
 	return sb.String()
 }
+
+// TestHTTPSweepOverCellCap submits a well-formed sweep under the body
+// limit whose four 60,000-entry axes multiply past scenario.MaxGridCells
+// (and past int64). It must be refused as invalid with a 400, counted in
+// rejected_total{reason="invalid"}, and leave the daemon answering.
+func TestHTTPSweepOverCellCap(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
+	axis := "[" + strings.TrimSuffix(strings.Repeat("1,", 60000), ",") + "]"
+	body := `{"schemes":["Rcast"],"rates":` + axis + `,"pauses_sec":` + axis +
+		`,"gossip_fanouts":` + axis + `,"tx_powers_dbm":` + axis + `}`
+	if len(body) >= maxRequestBytes {
+		t.Fatalf("body is %d bytes, not under the %d-byte limit", len(body), maxRequestBytes)
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("decode error body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "cap") {
+		t.Fatalf("status %d error %q, want 400 naming the cell cap", resp.StatusCode, eb.Error)
+	}
+	if got := s.mRejected.Value("invalid"); got != 1 {
+		t.Fatalf("rejected{invalid} = %v, want 1", got)
+	}
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the oversized sweep = %d", health.StatusCode)
+	}
+}

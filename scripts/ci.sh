@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # CI gate: vet, shadow lint, build, race-enabled tests, a run of every
 # examples/ program, a short fuzz pass over the MAC, route-cache,
-# scheduler-wheel, trace-reader, propagation-grid and job-request targets,
-# the coverage gate, the calibrated two-cell perf-smoke gate, a benchmark smoke
-# run, a tracediff smoke (audit inert / seeds diverge), the golden-trace corpus
-# gate (every committed cell re-runs and replays byte-identically), a
-# record/replay round-trip smoke through the rcast-sim CLI,
-# invariant-audited experiment smokes (clean and fault-injected) under the
-# race detector, the end-to-end rcast-serve smoke (race-built daemon:
-# submit/poll/parity/cache/429/drain), and the fleet smoke (coordinator +
-# two race-built workers: sweep sharding, peer-cache fill, serial
-# byte-parity).
+# scheduler-wheel, trace-reader, propagation-grid, job-request and
+# sweep-request targets, the coverage gate, the calibrated two-cell
+# perf-smoke gate, a benchmark smoke run, a tracediff smoke (audit inert /
+# seeds diverge), the golden-trace corpus gate (every committed cell re-runs
+# and replays byte-identically), a record/replay round-trip smoke through
+# the rcast-sim CLI, invariant-audited experiment smokes (clean and
+# fault-injected) under the race detector, the end-to-end rcast-serve smoke
+# (race-built daemon: submit/poll/parity/cache/429/drain), and the fleet
+# smoke (coordinator + two race-built workers: sweep sharding, peer-cache
+# fill, serial byte-parity).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,6 +41,7 @@ go test -run '^$' -fuzz 'FuzzSchedulerWheel' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzPropagationGrid' -fuzztime 10s ./internal/phy
 go test -run '^$' -fuzz 'FuzzJobRequest' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz 'FuzzSweepRequest' -fuzztime 10s ./internal/serve
 
 echo "== coverage gate =="
 go run ./tools/covergate
