@@ -142,14 +142,15 @@ type LossModel interface {
 }
 
 // Propagation decides per-(link, instant) decodability for the channel
-// (see internal/propagation for the implementations). Implementations
-// must be pure functions of their construction parameters and the call
-// arguments — no internal state, no shared RNG streams — so verdicts are
-// identical regardless of query order or repetition, and must be
-// symmetric in (a, b). Decodable must return false whenever dist exceeds
-// MaxRange: the spatial grid prunes candidates at that bound, so a
-// verdict beyond it would silently differ between the grid path and the
-// exhaustive scan.
+// (see internal/propagation for the implementations). Verdicts must be
+// pure functions of the construction parameters and the call arguments —
+// no shared RNG streams — so they are identical regardless of query order
+// or repetition, and must be symmetric in (a, b). An implementation may
+// memoize a pure per-link value; it is then owned by one channel and need
+// not be safe for concurrent use. Decodable must return false whenever
+// dist exceeds MaxRange: the spatial grid prunes candidates at that bound,
+// so a verdict beyond it would silently differ between the grid path and
+// the exhaustive scan.
 //
 // Per-transmitter power control composes on top of this contract without
 // breaking purity or symmetry: a transmitter whose range is scaled by s

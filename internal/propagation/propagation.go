@@ -5,12 +5,15 @@
 // layer randomness over the same d^-4 path loss.
 //
 // Determinism contract: every verdict is a pure function of (seed, link,
-// instant, distance). Models draw nothing from shared RNG streams and keep
-// no mutable state, so verdicts are identical regardless of query order,
-// repetition, or which subsystem asks — the property record/replay and the
-// spatial grid both rely on. Links are unordered: Decodable(a, b) and
-// Decodable(b, a) agree at every instant, preserving the disk channel's
-// reciprocity (carrier sense and neighbor counts stay symmetric).
+// instant, distance). Models draw nothing from shared RNG streams, so
+// verdicts are identical regardless of query order, repetition, or which
+// subsystem asks — the property record/replay and the spatial grid both
+// rely on. A model may memoize a pure per-link value (Shadowing keeps each
+// link's reach), which makes it owned by one run: it is not safe for
+// concurrent use, and Parse returns a fresh model per call. Links are
+// unordered: Decodable(a, b) and Decodable(b, a) agree at every instant,
+// preserving the disk channel's reciprocity (carrier sense and neighbor
+// counts stay symmetric).
 //
 // MaxRange bounds the distance at which any verdict can be true. The PHY
 // grid (internal/phy/grid.go) sizes its candidate queries from this bound,
@@ -58,7 +61,8 @@ const pathLossExponent = 4.0
 
 // Parse resolves a model by name for the given nominal radius and seed.
 // "" and "disk" yield the exact-disk model; sigmaDB parameterizes
-// "shadowing" (0 degenerates to the disk) and is ignored otherwise.
+// "shadowing" (0 degenerates to the disk) and is ignored otherwise. Each
+// call returns a fresh model, so every run owns its own memo.
 func Parse(name string, rangeM, sigmaDB float64, seed int64) (Model, error) {
 	switch name {
 	case "", "disk":
@@ -99,11 +103,34 @@ func (d Disk) Decodable(_ sim.Time, _, _ phy.NodeID, dist float64) bool {
 // position, not time), stretching that link's decode radius to
 // R·10^(X/40). σ = 0 reproduces the disk exactly: the gain factor is
 // 10^0 = 1 and the verdict is the same dist <= R comparison.
+//
+// A link's reach is a pure function of (seed, link), so the model computes
+// it once per link and keeps it in a fixed-size memo; a Shadowing is owned
+// by one run and is not safe for concurrent use.
 type Shadowing struct {
 	rangeM   float64
 	sigmaDB  float64
 	seed     int64
 	maxRange float64
+	memo     *[reachMemoSlots]linkReach // nil until the first verdict
+}
+
+// reachMemoBits sizes the reach memo: 4096 direct-mapped slots (64 KiB),
+// whatever the node count or NodeID magnitude. A 40-node run has 780
+// links; larger runs evict and recompute, which costs time, not verdicts.
+const (
+	reachMemoBits  = 12
+	reachMemoSlots = 1 << reachMemoBits
+)
+
+// noLink tags an empty memo slot: linkKey always puts the smaller ID in
+// the high half, so lo=1, hi=0 is no link's key.
+const noLink = 1 << 32
+
+// linkReach is one memo slot: a link's key and its decode reach in metres.
+type linkReach struct {
+	key   uint64
+	reach float64
 }
 
 var _ Model = (*Shadowing)(nil)
@@ -130,15 +157,36 @@ func (*Shadowing) Name() string { return "shadowing" }
 // MaxRange implements phy.Propagation.
 func (s *Shadowing) MaxRange() float64 { return s.maxRange }
 
-// Decodable implements phy.Propagation. The per-link gain is re-derived
-// by hashing on every call rather than cached: the hash is a handful of
-// multiplies, and statelessness is what makes verdicts order-independent.
+// Decodable implements phy.Propagation. The link's reach comes from the
+// memo; deriving it (Box–Muller and a power of ten) costs far more than the
+// comparison, and a memoized reach is the same float64 recomputed.
 func (s *Shadowing) Decodable(_ sim.Time, a, b phy.NodeID, dist float64) bool {
 	if s.sigmaDB == 0 {
 		return dist <= s.rangeM
 	}
-	x := s.gainDB(a, b)
-	return dist <= s.rangeM*dbToRangeFactor(x)
+	return dist <= s.reach(a, b)
+}
+
+// reach returns the link's decode radius R·10^(X/40), computing it on a
+// memo miss.
+func (s *Shadowing) reach(a, b phy.NodeID) float64 {
+	if s.memo == nil {
+		s.memo = new([reachMemoSlots]linkReach)
+		for i := range s.memo {
+			s.memo[i].key = noLink
+		}
+	}
+	key := linkKey(a, b)
+	e := &s.memo[reachSlot(key)]
+	if e.key != key {
+		e.key, e.reach = key, s.rangeM*dbToRangeFactor(s.gainDB(a, b))
+	}
+	return e.reach
+}
+
+// reachSlot maps a link key to its memo slot (Fibonacci hashing).
+func reachSlot(key uint64) uint64 {
+	return key * 0x9E3779B97F4A7C15 >> (64 - reachMemoBits)
 }
 
 // GainDB exposes a link's shadowing gain in dB (testing and diagnostics).
@@ -164,16 +212,33 @@ func (s *Shadowing) gainDB(a, b phy.NodeID) float64 {
 // over channel coherence (DESIGN.md §15).
 type Fading struct {
 	rangeM   float64
+	invRange float64 // 1/rangeM, or NaN where the quartic test is unsound
 	seed     int64
 	maxRange float64
 }
 
 var _ Model = (*Fading)(nil)
 
+// fadingBand is the relative margin outside which the quartic test
+// (dist/R)^4 against g settles a fading verdict: both it and the exact
+// expression R·g^(1/4) carry rounding error near 1e-15, so a gap wider
+// than 1e-9 decides the real-number comparison, and both float forms
+// agree with it.
+const fadingBand = 1e-9
+
 // NewFading creates a Rayleigh fading model around nominal radius rangeM.
 func NewFading(rangeM float64, seed int64) *Fading {
+	inv := math.NaN()
+	// The error bound behind fadingBand needs R·g^(1/4) to be a normal
+	// float for every g the cap allows (g ≥ 2^-53 when positive), which
+	// holds with room to spare in this range. Outside it the NaN fails
+	// both band comparisons, so every verdict takes the exact expression.
+	if rangeM >= 1e-300 && rangeM <= 1e300 {
+		inv = 1 / rangeM
+	}
 	return &Fading{
 		rangeM:   rangeM,
+		invRange: inv,
 		seed:     seed,
 		maxRange: rangeM * math.Pow(FadingMaxGain, 1/pathLossExponent),
 	}
@@ -187,12 +252,30 @@ func (f *Fading) MaxRange() float64 { return f.maxRange }
 
 // Decodable implements phy.Propagation.
 func (f *Fading) Decodable(now sim.Time, a, b phy.NodeID, dist float64) bool {
-	u := uniform(linkHash(f.seed, a, b, uint64(now)))
+	return f.verdict(uniform(linkHash(f.seed, a, b, uint64(now))), dist)
+}
+
+// verdict decides dist <= R·g^(1/4) for the link-instant's uniform draw u.
+// The 4th power of dist/R (three multiplies) settles the verdict against g
+// unless the two lie within fadingBand of each other; only then, or when g
+// or dist is not positive, does the exact expression run.
+func (f *Fading) verdict(u, dist float64) bool {
 	// Inverse-CDF exponential, capped at FadingMaxGain. 1-u is in (0, 1],
 	// so the log is finite.
 	g := -math.Log(1 - u)
 	if g > FadingMaxGain {
 		g = FadingMaxGain
+	}
+	if g > 0 && dist > 0 {
+		x := dist * f.invRange
+		q4 := x * x
+		q4 *= q4
+		if q4 < g*(1-fadingBand) {
+			return true
+		}
+		if q4 > g*(1+fadingBand) {
+			return false
+		}
 	}
 	return dist <= f.rangeM*math.Pow(g, 1/pathLossExponent)
 }
@@ -208,14 +291,16 @@ func dbToRangeFactor(db float64) float64 {
 // the extra round after folding in the instant keeps per-instant draws
 // (fading) decorrelated across adjacent microseconds.
 func linkHash(seed int64, a, b phy.NodeID, instant uint64) uint64 {
+	return mix64(mix64(uint64(seed)^linkKey(a, b)) ^ instant)
+}
+
+// linkKey packs an unordered link into 64 bits, smaller ID high.
+func linkKey(a, b phy.NodeID) uint64 {
 	lo, hi := uint64(uint32(a)), uint64(uint32(b))
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	z := uint64(seed)
-	z = mix64(z ^ lo<<32 ^ hi)
-	z = mix64(z ^ instant)
-	return z
+	return lo<<32 | hi
 }
 
 // mix64 is the splitmix64 finalizer (same constants as sim.ReplicationSeed).

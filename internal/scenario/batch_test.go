@@ -3,7 +3,9 @@ package scenario
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,5 +228,40 @@ func TestBatchWorkersTraceForcesSerial(t *testing.T) {
 	}
 	if got := BatchWorkers([]Batch{plain}, 0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("BatchWorkers(0) = %d, want GOMAXPROCS", got)
+	}
+}
+
+// TestRunBatchRandomChannelsDeterministic runs shadowing and fading cells
+// through RunBatch at two workers and requires results byte-identical to
+// one worker. A propagation model memoizes per-link values, so a model
+// shared between runs would also show up here as a data race under -race.
+func TestRunBatchRandomChannelsDeterministic(t *testing.T) {
+	var batches []Batch
+	for _, ch := range []string{"shadowing", "fading"} {
+		for _, mob := range []string{"waypoint", "group"} {
+			cfg := quickConfig(SchemeRcast)
+			cfg.Duration = 20 * sim.Second
+			cfg.Channel, cfg.ShadowSigmaDB, cfg.Mobility = ch, 6, mob
+			batches = append(batches, Batch{Cfg: cfg, Reps: 2})
+		}
+	}
+	render := func(workers int) string {
+		aggs, err := RunBatch(context.Background(), batches, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, agg := range aggs {
+			for _, r := range agg.Results {
+				fmt.Fprintf(&sb, "%+v\n", *r)
+			}
+		}
+		return sb.String()
+	}
+	// Parallel first: a shared model's memo would then be filled by two
+	// goroutines at once rather than read after a serial pass filled it.
+	parallel := render(2)
+	if serial := render(1); parallel != serial {
+		t.Fatalf("workers=2 output differs from workers=1:\n%s\nvs\n%s", parallel, serial)
 	}
 }

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # CI gate: vet, shadow lint, build, race-enabled tests, a run of every
 # examples/ program, a short fuzz pass over the MAC, route-cache,
-# scheduler-wheel, trace-reader, propagation-grid, job-request and
-# sweep-request targets, the coverage gate, the calibrated two-cell
-# perf-smoke gate, a benchmark smoke run, a tracediff smoke (audit inert /
-# seeds diverge), the golden-trace corpus gate (every committed cell re-runs
-# and replays byte-identically), a record/replay round-trip smoke through
-# the rcast-sim CLI, invariant-audited experiment smokes (clean and
-# fault-injected) under the race detector, the end-to-end rcast-serve smoke
-# (race-built daemon: submit/poll/parity/cache/429/drain), and the fleet
-# smoke (coordinator + two race-built workers: sweep sharding, peer-cache
-# fill, serial byte-parity).
+# scheduler-wheel, trace-reader, propagation-grid, propagation-verdict,
+# canonical-key, job-request and sweep-request targets, the coverage gate,
+# the calibrated three-cell perf-smoke gate, a benchmark smoke run, a
+# tracediff smoke (audit inert / seeds diverge), the golden-trace corpus
+# gate (every committed cell re-runs and replays byte-identically), a
+# record/replay round-trip smoke through the rcast-sim CLI,
+# invariant-audited experiment smokes (clean and fault-injected) under the
+# race detector, the end-to-end rcast-serve smoke (race-built daemon:
+# submit/poll/parity/cache/429/drain), and the fleet smoke (coordinator +
+# two race-built workers: sweep sharding, peer-cache fill, serial
+# byte-parity).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +41,8 @@ go test -run '^$' -fuzz 'FuzzCacheOperations' -fuzztime 10s ./internal/routing/d
 go test -run '^$' -fuzz 'FuzzSchedulerWheel' -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzPropagationGrid' -fuzztime 10s ./internal/phy
+go test -run '^$' -fuzz 'FuzzDecodable' -fuzztime 10s ./internal/propagation
+go test -run '^$' -fuzz 'FuzzCanonical' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz 'FuzzJobRequest' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz 'FuzzSweepRequest' -fuzztime 10s ./internal/serve
 
@@ -47,11 +50,11 @@ echo "== coverage gate =="
 go run ./tools/covergate
 
 echo "== perf smoke =="
-# Calibrated gate over two cells, each failing on a >30% slowdown relative
-# to its entry in tools/perfsmoke/baseline.json: the 3-node cell (event
-# kernel) and the 400-node dense cell cut to 10 s (DSR route learning and
-# the PHY grid). See that tool for how scores are normalized across
-# machines.
+# Calibrated gate over three cells, each failing on a >30% slowdown
+# relative to its entry in tools/perfsmoke/baseline.json: the 3-node cell
+# (event kernel), the 400-node dense cell cut to 10 s (DSR route learning
+# and the PHY grid) and a 40-node A9-shaped shadowing cell (propagation
+# models). See that tool for how scores are normalized across machines.
 go run ./tools/perfsmoke
 
 echo "== bench smoke =="

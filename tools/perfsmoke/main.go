@@ -1,10 +1,12 @@
-// Command perfsmoke is the CI performance gate: it runs two small fixed
-// simulations and fails if either got more than 30% slower than its
+// Command perfsmoke is the CI performance gate: it runs three small fixed
+// simulations and fails if any got more than 30% slower than its
 // committed baseline. The 3-node cell (steady CBR traffic, static) gates
 // the event kernel; the 400-node dense cell (the benchmark's dense_400 cell
 // cut to 10 s) gates DSR route learning and the PHY grid at the size where
 // they dominate. Its nodes start with a 30 s pause, so over 10 s the dense
-// cell is static.
+// cell is static. Both run on the disk channel, so the third cell, a
+// mobile 40-node cell shaped like the quick suite's A9 ablation (log-normal
+// shadowing, Gauss–Markov mobility), gates the propagation models.
 //
 // Raw wall-clock time is useless as a committed number — CI machines
 // differ by far more than any regression worth catching. Instead the gate
@@ -104,7 +106,20 @@ func cells() []cell {
 	dense.Duration = rcast.Seconds(10)
 	dense.Seed = 1
 
-	return []cell{{"cell_3", small}, {"dense_400_10s", dense}}
+	// One A9 cell of the quick suite: 40 mobile nodes on 900×300 m, 8 CBR
+	// connections at 0.4 pkt/s for 150 s with 75 s pauses, under σ = 4 dB
+	// shadowing and Gauss–Markov mobility.
+	a9 := rcast.PaperDefaults()
+	a9.Nodes = 40
+	a9.FieldW, a9.FieldH = 900, 300
+	a9.Connections = 8
+	a9.Duration = rcast.Seconds(150)
+	a9.Pause = rcast.Seconds(75)
+	a9.Channel, a9.ShadowSigmaDB = "shadowing", 4
+	a9.Mobility = "gauss-markov"
+	a9.Seed = 1
+
+	return []cell{{"cell_3", small}, {"dense_400_10s", dense}, {"a9_shadowing_40", a9}}
 }
 
 // simulate times one cell, best of runs.
